@@ -23,7 +23,7 @@ fn main() {
     .into_iter()
     .map(|(name, policy)| (name.to_string(), Experiment::new(HwTarget::A64fx, policy, workload)))
     .collect();
-    let results = run_sweep(&specs, opts.jobs, false, false);
+    let results = run_sweep(&specs, opts.jobs, false, None, false);
     for ((name, _), r) in specs.iter().zip(&results) {
         let s = &r.summary;
         let mut table = Table::new(

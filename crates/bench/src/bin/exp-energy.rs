@@ -26,7 +26,7 @@ fn main() {
     // --retime: per network and VL, one functional capture serves the
     // whole L2 axis; output is bit-identical to the full-simulation grid.
     let mut engine = retime_engine(&opts);
-    let j = energy_grid_json_with(opts.div, opts.layers, opts.jobs, engine.as_mut());
+    let j = energy_grid_json(opts.div, opts.layers, opts.jobs, engine.as_mut());
     log_retime(engine.as_ref());
 
     let mut table = Table::new(

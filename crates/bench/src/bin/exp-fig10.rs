@@ -34,7 +34,7 @@ fn main() {
             specs.push((format!("vlen{vlen}_l2_{}", lva_core::experiment::fmt_bytes(l2)), e));
         }
     }
-    let runs = run_sweep(&specs, opts.jobs, false, false);
+    let runs = run_sweep(&specs, opts.jobs, false, None, false);
     let mut runs = runs.into_iter();
     let mut base = None;
     for vlen in SVE_VLENS {
@@ -69,7 +69,7 @@ fn main() {
             ]
         })
         .collect();
-    let cmp_runs = run_sweep(&cmp_specs, opts.jobs, false, false);
+    let cmp_runs = run_sweep(&cmp_specs, opts.jobs, false, None, false);
     for (i, vlen) in SVE_VLENS.into_iter().enumerate() {
         let w = &cmp_runs[2 * i].summary;
         let g = &cmp_runs[2 * i + 1].summary;

@@ -32,7 +32,7 @@ fn main() {
         })
         .collect();
     let mut base = None;
-    for (vlen, r) in RVV_VLENS.iter().zip(run_sweep(&specs, opts.jobs, false, false)) {
+    for (vlen, r) in RVV_VLENS.iter().zip(run_sweep(&specs, opts.jobs, false, None, false)) {
         let s = r.summary;
         let base_cycles = *base.get_or_insert(s.cycles);
         table.row(vec![

@@ -31,7 +31,7 @@ fn main() {
             specs.push((format!("vlen{vlen}_l2_{}", lva_core::experiment::fmt_bytes(l2)), e));
         }
     }
-    let runs = run_sweep(&specs, opts.jobs, false, false);
+    let runs = run_sweep(&specs, opts.jobs, false, None, false);
     let mut runs = runs.into_iter();
     for vlen in RVV_VLENS {
         let mut base = None;

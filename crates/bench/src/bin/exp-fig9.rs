@@ -32,7 +32,7 @@ fn main() {
             specs.push((format!("vlen{vlen}_l2_{}", lva_core::experiment::fmt_bytes(l2)), e));
         }
     }
-    let runs = run_sweep(&specs, opts.jobs, false, false);
+    let runs = run_sweep(&specs, opts.jobs, false, None, false);
     let mut runs = runs.into_iter();
     let mut base = None;
     for vlen in SVE_VLENS {

@@ -19,6 +19,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use lva_bench::*;
+use lva_core::Source;
 use lva_isa::{LayerMemo, RefitPlan};
 use lva_retime::ConfigKey;
 
@@ -50,7 +51,8 @@ fn retime_bench(specs: &[(String, Experiment)], full: &[SweepRun], serial_ms: f6
         let t0 = Instant::now();
         for (i, (((name, e), cap), plan)) in specs.iter().zip(&caps).zip(&plans).enumerate() {
             let memo = memos.entry(ConfigKey::of(e)).or_default();
-            let s = e.retime_tape_memoized(cap, plan, memo).expect("tape matches own geometry");
+            let source = Source::Tape { tape: &cap.tape, plan, memo };
+            let (s, ()) = e.retime(cap, source, ()).expect("tape matches own geometry");
             assert_eq!(
                 s.cycles, full[i].summary.cycles,
                 "{name}: retimed cycles diverged from the full simulator"
@@ -108,12 +110,12 @@ fn wallclock_bench(specs: &[(String, Experiment)], opts: &Opts, engine: Option<&
     let mut last_serial: Option<Vec<SweepRun>> = None;
     for pass in 0..3 {
         let t0 = Instant::now();
-        let runs = run_sweep(specs, 1, false, true);
+        let runs = run_sweep(specs, 1, false, None, true);
         serial_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         eprintln!(".. wallclock serial pass {}: {:.0} ms", pass + 1, serial_ms[pass]);
         last_serial = Some(runs);
         let t0 = Instant::now();
-        run_sweep(specs, jobs, false, true);
+        run_sweep(specs, jobs, false, None, true);
         parallel_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         eprintln!(".. wallclock --jobs {jobs} pass {}: {:.0} ms", pass + 1, parallel_ms[pass]);
     }
@@ -183,10 +185,7 @@ fn main() {
     // The table pass. With --profile the memory profiler rides along
     // (timing unchanged) and its reuse-distance/3C report lands next to
     // the run. --jobs only changes who executes what when.
-    let results = match engine.as_mut() {
-        Some(eng) if !opts.profile => run_sweep_retimed(&specs, eng, false),
-        _ => run_sweep(&specs, opts.jobs, opts.profile, false),
-    };
+    let results = run_sweep(&specs, opts.jobs, opts.profile, engine.as_mut(), false);
     let summary = |i: usize| -> &RunSummary { &results[i].summary };
     let runs: Vec<RunReport> = specs
         .iter()
@@ -214,7 +213,10 @@ fn main() {
                 let model = lva_core::EnergyModel::default();
                 let (s, att) = match engine.as_mut() {
                     Some(eng) => eng.run_energy(e, &model),
-                    None => e.run_energy(&model),
+                    None => {
+                        let (s, att) = e.run_observed(lva_core::observe::Energy(&model), 1);
+                        (s.steady, att)
+                    }
                 };
                 assert_eq!(s.cycles, r.summary.cycles, "{name}: energy probe changed timing");
                 report = report.with_energy(att.to_json());
@@ -277,7 +279,7 @@ fn main() {
     if let Some(path) = &opts.chrome {
         let e = &specs[1].1; // rvv + opt3 + tiny
         eprintln!(".. {} | {} [timeline]", e.hw.describe(), e.workload.describe());
-        let (_, trace) = e.run_timeline();
+        let (_, trace) = e.run_observed(lva_core::observe::Timeline, 1);
         match trace.save(path) {
             Ok(()) => println!("[saved {path} ({} events)]", trace.len()),
             Err(e) => eprintln!("could not save {path}: {e}"),

@@ -30,7 +30,7 @@ fn main() {
             specs.push((format!("vlen{vlen}_lanes{lanes}"), e));
         }
     }
-    let runs = run_sweep(&specs, opts.jobs, false, false);
+    let runs = run_sweep(&specs, opts.jobs, false, None, false);
     let mut runs = runs.into_iter();
     for vlen in [512usize, 2048, 8192] {
         let mut base = None;

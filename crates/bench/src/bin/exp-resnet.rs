@@ -49,7 +49,7 @@ fn main() {
             ]
         })
         .collect();
-    let runs = run_sweep(&specs, opts.jobs, false, false);
+    let runs = run_sweep(&specs, opts.jobs, false, None, false);
     for (i, model) in models.into_iter().enumerate() {
         let gemm = &runs[2 * i].summary;
         let wino = &runs[2 * i + 1].summary;

@@ -33,7 +33,7 @@ fn main() {
     // single-core timing proofs) and the sweep falls back to full SoC
     // simulation; output is bit-identical either way.
     let mut engine = retime_engine(&opts);
-    let j = scaling_grid_json_with(opts.div, opts.layers, opts.jobs, engine.as_mut());
+    let j = scaling_grid_json(opts.div, opts.layers, opts.jobs, engine.as_mut());
     log_retime(engine.as_ref());
 
     let mut table = Table::new(

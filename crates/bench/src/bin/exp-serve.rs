@@ -32,7 +32,7 @@ fn main() {
     // --retime: ladder calibration through the retime engine (one capture
     // per tenant stream, re-timed per rung); output is bit-identical.
     let mut engine = retime_engine(&opts);
-    let j = serving_grid_json_with(opts.div, opts.layers, opts.jobs, engine.as_mut());
+    let j = serving_grid_json(opts.div, opts.layers, opts.jobs, engine.as_mut());
     log_retime(engine.as_ref());
 
     let mut table = Table::new(

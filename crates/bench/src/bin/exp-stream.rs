@@ -28,7 +28,7 @@ fn main() {
             workload,
         );
         eprintln!(".. streaming 4 frames at L2={}", lva_core::experiment::fmt_bytes(l2));
-        let s = e.run_stream(4);
+        let (s, ()) = e.run_observed((), 4);
         table.row(vec![
             lva_core::experiment::fmt_bytes(l2),
             fmt_cycles(s.cold_cycles()),

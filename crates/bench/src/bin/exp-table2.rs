@@ -30,7 +30,7 @@ fn main() {
         );
         specs.push((format!("opt6_{}x{}x{}", blocks.m, blocks.n, blocks.k), e));
     }
-    let runs = run_sweep(&specs, opts.jobs, false, false);
+    let runs = run_sweep(&specs, opts.jobs, false, None, false);
     let opt3 = &runs[0].summary;
 
     let paper = ["0.90", "0.95", "0.98", "0.96", "0.97", "0.95"];

@@ -35,7 +35,7 @@ fn main() {
             (format!("vlen{vlen}"), e)
         })
         .collect();
-    let runs = run_sweep(&specs, opts.jobs, false, false);
+    let runs = run_sweep(&specs, opts.jobs, false, None, false);
     for (i, (vlen, r)) in RVV_VLENS.into_iter().zip(runs).enumerate() {
         let s = r.summary;
         table.row(vec![

@@ -29,7 +29,7 @@ fn main() {
     // --retime: each design point captures once and its five idealized
     // counterfactuals re-time the recording; output is bit-identical.
     let mut engine = retime_engine(&opts);
-    let j = whatif_json_with(&specs, opts.div, opts.jobs, headline.as_ref(), engine.as_mut());
+    let j = whatif_json(&specs, opts.div, opts.jobs, headline.as_ref(), engine.as_mut());
     log_retime(engine.as_ref());
 
     let mut body = j.to_string_pretty();

@@ -48,7 +48,7 @@ fn main() {
             ]
         })
         .collect();
-    let runs = run_sweep(&specs, opts.jobs, false, false);
+    let runs = run_sweep(&specs, opts.jobs, false, None, false);
     for (i, model) in models.into_iter().enumerate() {
         let workload =
             Workload { model, input_hw: scaled_input(model, opts.div), layer_limit: opts.layers };

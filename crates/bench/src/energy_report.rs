@@ -154,8 +154,8 @@ fn network_json(
             .collect(),
         None => parallel_map(&grid, jobs, |_, cell| {
             let e = experiment(cell);
-            let (s, att) = e.run_energy(&model);
-            point(cell, &s, &att)
+            let (s, att) = e.run_observed(lva_core::observe::Energy(&model), 1);
+            point(cell, &s.steady, &att)
         }),
     };
     let flags = pareto_flags(&points);
@@ -177,14 +177,11 @@ fn network_json(
 /// headline network, per-point energy from the streaming probe, frontier
 /// flags, and both optima. Deterministic for fixed `(div, layers)` —
 /// independent of `jobs` and the host.
-pub fn energy_grid_json(div: usize, layers: Option<usize>, jobs: usize) -> Json {
-    energy_grid_json_with(div, layers, jobs, None)
-}
-
-/// [`energy_grid_json`] with an optional retime engine (the `--retime`
-/// path): per network and VL, one functional capture serves the entire
-/// L2 axis. Output is bit-identical to the full-simulation grid.
-pub fn energy_grid_json_with(
+///
+/// With a retime engine (the `--retime` path), per network and VL one
+/// functional capture serves the entire L2 axis. Output is bit-identical
+/// to the full-simulation grid.
+pub fn energy_grid_json(
     div: usize,
     layers: Option<usize>,
     jobs: usize,
@@ -302,13 +299,13 @@ mod tests {
 
     fn tiny_grid() -> Json {
         // Reduced sweep: tiny div, few layers — the CI configuration.
-        energy_grid_json(8, Some(6), 2)
+        energy_grid_json(8, Some(6), 2, None)
     }
 
     #[test]
     fn energy_grid_is_deterministic_across_jobs() {
         let a = tiny_grid();
-        let b = energy_grid_json(8, Some(6), 1);
+        let b = energy_grid_json(8, Some(6), 1, None);
         assert_eq!(
             a.to_string_pretty(),
             b.to_string_pretty(),

@@ -16,16 +16,13 @@ pub mod serving_report;
 pub mod sweep;
 pub mod whatif_report;
 
-pub use energy_report::{energy_grid_json, energy_grid_json_with, pareto_markdown};
+pub use energy_report::{energy_grid_json, pareto_markdown};
 pub use scaling_report::{
-    scaling_chrome_trace, scaling_grid_json, scaling_grid_json_with, scaling_markdown,
-    SCALING_CORES,
+    scaling_chrome_trace, scaling_grid_json, scaling_markdown, SCALING_CORES,
 };
-pub use serving_report::{
-    knee_chrome_trace, serving_grid_json, serving_grid_json_with, serving_markdown,
-};
-pub use sweep::{median_ms, run_sweep, run_sweep_retimed, SweepRun};
-pub use whatif_report::{codesign_markdown, whatif_json, whatif_json_with};
+pub use serving_report::{knee_chrome_trace, serving_grid_json, serving_markdown};
+pub use sweep::{median_ms, run_sweep, SweepRun};
+pub use whatif_report::{codesign_markdown, whatif_json};
 
 pub use lva_core::report::{fmt_cycles, fmt_speedup};
 pub use lva_core::{
@@ -143,30 +140,4 @@ pub fn log_retime(engine: Option<&RetimeEngine>) {
     if let Some(reason) = eng.refusal() {
         eprintln!("[retime refused: {reason}]");
     }
-}
-
-/// Run an experiment, logging the design point to stderr.
-pub fn run_logged(e: &Experiment) -> RunSummary {
-    eprintln!(".. {} | {}", e.hw.describe(), e.workload.describe());
-    let s = e.run();
-    log_summary(&s);
-    s
-}
-
-/// Like [`run_logged`], with the `lva-prof` memory profiler attached
-/// (identical timing; the summary additionally carries 3C miss classes).
-pub fn run_logged_profiled(e: &Experiment) -> (RunSummary, MemProfile) {
-    eprintln!(".. {} | {} [profiled]", e.hw.describe(), e.workload.describe());
-    let (s, profile) = e.run_profiled();
-    log_summary(&s);
-    (s, profile)
-}
-
-fn log_summary(s: &RunSummary) {
-    eprintln!(
-        "   {} cycles, avg VL {:.0}b, L2 miss {:.1}%",
-        fmt_cycles(s.cycles),
-        s.avg_vlen_bits,
-        100.0 * s.l2_miss_rate
-    );
 }

@@ -254,17 +254,14 @@ fn cell_json(real: &SocResult, ideal: &SocResult) -> Json {
 
 /// Assemble the full `BENCH_scaling.json` value. Deterministic for fixed
 /// `(div, layers)` — independent of `jobs` and the host.
-pub fn scaling_grid_json(div: usize, layers: Option<usize>, jobs: usize) -> Json {
-    scaling_grid_json_with(div, layers, jobs, None)
-}
-
-/// [`scaling_grid_json`] with an optional retime engine (the `--retime`
-/// path). The engine **refuses**: retime certificates are single-core
-/// timing proofs and say nothing about cross-core port interleaving, so it
-/// records [`lva_retime::CONTENTION_REFUSAL`] and this function falls back
-/// to the full SoC simulation — the output is byte-identical to the
-/// engineless path (pinned by test).
-pub fn scaling_grid_json_with(
+///
+/// With a retime engine (the `--retime` path), the engine **refuses**:
+/// retime certificates are single-core timing proofs and say nothing
+/// about cross-core port interleaving, so it records
+/// [`lva_retime::CONTENTION_REFUSAL`] and this function falls back to the
+/// full SoC simulation — the output is byte-identical to the engineless
+/// path (pinned by test).
+pub fn scaling_grid_json(
     div: usize,
     layers: Option<usize>,
     jobs: usize,
@@ -542,7 +539,7 @@ mod tests {
     fn tiny_grid() -> Json {
         // Reduced sweep: tiny scale, short prefixes — the unit-test
         // configuration (CI runs the committed default separately).
-        scaling_grid_json(16, Some(4), 2)
+        scaling_grid_json(16, Some(4), 2, None)
     }
 
     fn cells_of<'a>(j: &'a Json, net: usize, point: usize, sharding: &str) -> &'a [Json] {
@@ -567,7 +564,7 @@ mod tests {
     #[test]
     fn scaling_grid_is_deterministic_across_jobs() {
         let a = tiny_grid();
-        let b = scaling_grid_json(16, Some(4), 1);
+        let b = scaling_grid_json(16, Some(4), 1, None);
         assert_eq!(
             a.to_string_pretty(),
             b.to_string_pretty(),
@@ -658,7 +655,7 @@ mod tests {
             lva_core::RetimeOpt::On,
             lva_retime::CertGate::decided(Ok(())),
         );
-        let with = scaling_grid_json_with(16, Some(4), 2, Some(&mut engine));
+        let with = scaling_grid_json(16, Some(4), 2, Some(&mut engine));
         let without = tiny_grid();
         assert_eq!(
             with.to_string_pretty(),

@@ -7,7 +7,7 @@
 //! hardware that holds the latency SLO under this load?". The pipeline:
 //!
 //! 1. **Calibrate** — for every (design point, tenant) pair, a two-frame
-//!    `Experiment::run_stream` on the real simulator yields the cold
+//!    `Experiment::run_observed` on the real simulator yields the cold
 //!    (first-frame) and steady (warm) per-inference cycles. This is the
 //!    only place the cycle-approximate machine runs; the serving tier is a
 //!    queueing model *on top of* those measured costs.
@@ -131,7 +131,7 @@ fn calibrate(
         None => parallel_map(&grid, jobs, |_, &(p, t)| {
             let e = Experiment::new(points[p].1, policy, tenant_workload(&mix[t], div, layers));
             eprintln!(".. calibrate {} | {}", e.hw.describe(), e.workload.describe());
-            let s = e.run_stream(2);
+            let (s, ()) = e.run_observed((), 2);
             let (profile, steady) = cell(s);
             (e, profile, steady)
         }),
@@ -234,15 +234,12 @@ fn cell_json(
 /// Assemble the full `BENCH_serving.json` value. Deterministic for fixed
 /// `(div, layers)` — independent of `jobs` and the host; the simulated
 /// cycle clock is the only time source anywhere in the pipeline.
-pub fn serving_grid_json(div: usize, layers: Option<usize>, jobs: usize) -> Json {
-    serving_grid_json_with(div, layers, jobs, None)
-}
-
-/// [`serving_grid_json`] with an optional retime engine (the `--retime`
-/// path): the ladder calibration — the only place the cycle-approximate
-/// machine runs — goes through the engine, so each tenant stream is
-/// captured once and re-timed per rung. Output is bit-identical.
-pub fn serving_grid_json_with(
+///
+/// With a retime engine (the `--retime` path), the ladder calibration —
+/// the only place the cycle-approximate machine runs — goes through the
+/// engine, so each tenant stream is captured once and re-timed per rung.
+/// Output is bit-identical.
+pub fn serving_grid_json(
     div: usize,
     layers: Option<usize>,
     jobs: usize,
@@ -563,7 +560,7 @@ mod tests {
     fn tiny_grid() -> Json {
         // Reduced sweep: tiny scale, short prefixes — the unit-test
         // configuration (CI runs the committed default separately).
-        serving_grid_json(16, Some(4), 2)
+        serving_grid_json(16, Some(4), 2, None)
     }
 
     #[test]
@@ -579,7 +576,7 @@ mod tests {
     #[test]
     fn serving_grid_is_deterministic_across_jobs() {
         let a = tiny_grid();
-        let b = serving_grid_json(16, Some(4), 1);
+        let b = serving_grid_json(16, Some(4), 1, None);
         assert_eq!(
             a.to_string_pretty(),
             b.to_string_pretty(),

@@ -68,20 +68,12 @@ fn headline_check(runs: &[(String, &Experiment, u64)], headline: &Json) -> Optio
 /// (fanned over `jobs` threads) and assemble the merged `BENCH_whatif.json`
 /// value. `headline` is an already-written `BENCH_headline.json` to
 /// cross-check against, if one exists.
+///
+/// With a retime engine, every factual and counterfactual run goes through
+/// the engine's serial front door (one capture per spec, then five
+/// re-timed idealizations) instead of six full simulations per spec.
+/// Output is bit-identical either way.
 pub fn whatif_json(
-    specs: &[(String, Experiment)],
-    div: usize,
-    jobs: usize,
-    headline: Option<&Json>,
-) -> Json {
-    whatif_json_with(specs, div, jobs, headline, None)
-}
-
-/// [`whatif_json`] with an optional retime engine: when present, every
-/// factual and counterfactual run goes through the engine's serial front
-/// door (one capture per spec, then five re-timed idealizations) instead
-/// of six full simulations per spec. Output is bit-identical either way.
-pub fn whatif_json_with(
     specs: &[(String, Experiment)],
     div: usize,
     jobs: usize,
@@ -288,7 +280,7 @@ mod tests {
         // One cheap spec: the tiny network, 2 layers, small input.
         let mut specs = headline_specs(8, Some(2));
         specs.truncate(1);
-        whatif_json(&specs, 8, 1, None)
+        whatif_json(&specs, 8, 1, None, None)
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! invariant the ISSUE gates on "every headline-suite run".
 
 use lva_bench::headline_specs;
+use lva_core::observe::Energy;
 use lva_core::EnergyModel;
 
 #[test]
@@ -16,7 +17,8 @@ fn headline_suite_reconciles_and_stays_timing_neutral() {
     // and both gemm variants.
     for (name, e) in headline_specs(16, Some(4)) {
         let plain = e.run();
-        let (s, att) = e.run_energy(&model);
+        let (s, att) = e.run_observed(Energy(&model), 1);
+        let s = s.steady;
         assert_eq!(plain.cycles, s.cycles, "{name}: energy accounting changed the cycle count");
         let err = att.reconciliation_rel_err();
         assert!(

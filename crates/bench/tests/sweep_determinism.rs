@@ -48,7 +48,7 @@ fn headline_specs() -> Vec<(String, Experiment)> {
 /// `--json` path of `exp-headline` would assemble it.
 fn report_bytes(jobs: usize) -> String {
     let specs = headline_specs();
-    let results = run_sweep(&specs, jobs, false, true);
+    let results = run_sweep(&specs, jobs, false, None, true);
     assert_eq!(results.len(), specs.len());
     let reports: Vec<Json> = specs
         .iter()

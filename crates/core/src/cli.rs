@@ -90,93 +90,156 @@ impl Opts {
     /// Parse `--div N`, `--layers N`, `--csv`, `--json`, `--trace FILE`,
     /// `--help` from `std::env`. `default_div` is the experiment's default
     /// scale. `--trace` installs a JSONL telemetry sink for the whole run.
+    /// A malformed or unknown flag prints a message and exits 2.
     pub fn parse(default_div: usize, what: &str) -> Opts {
-        let mut opts = Opts::defaults(default_div);
-        let mut args = env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--div" => {
-                    opts.div =
-                        args.next().and_then(|v| v.parse().ok()).expect("--div needs an integer");
-                }
-                "--layers" => {
-                    opts.layers = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .expect("--layers needs an integer"),
-                    );
-                }
-                "--no-csv" => opts.csv = false,
-                "--csv" => opts.csv = true,
-                "--json" => opts.json = true,
-                "--no-json" => opts.json = false,
-                "--profile" => opts.profile = true,
-                "--jobs" => opts.jobs = parse_jobs(&mut args),
-                "--wallclock" => opts.wallclock = true,
-                "--with-whatif" => opts.whatif = true,
-                "--with-energy" => opts.energy = true,
-                "--retime" => opts.retime = RetimeOpt::On,
-                "--retime=verify" => opts.retime = RetimeOpt::Verify,
-                "--retime=off" => opts.retime = RetimeOpt::Off,
-                "--chrome" => {
-                    opts.chrome = Some(args.next().expect("--chrome needs a file path"));
-                }
-                "--trace" => install_trace(&mut args),
-                "--help" | "-h" => {
-                    eprintln!(
-                        "{what}\n\nOptions:\n  --div N      input down-scale divisor (default {default_div}; 1 = paper size)\n  --layers N   layer prefix override\n  --csv/--no-csv  write results/<exp>.csv (default on)\n  --json       also write results/<exp>.json (machine-readable)\n  --profile    tap the cache hierarchy: reuse-distance histograms, 3C\n               miss classes, capacity curves (in the JSON output)\n  --chrome FILE  write a Chrome trace-event timeline (Perfetto) to FILE\n  --trace FILE stream JSONL telemetry spans to FILE\n  --jobs N     run independent design points on N threads (0 = all cores;\n               results and reports are identical to --jobs 1)\n  --wallclock  self-benchmark: time the sweep serial vs --jobs (median of\n               3 each) and write BENCH_sim_wallclock.json\n  --with-whatif  attach lva-whatif counterfactual analyses (bound\n               classification, cycles-saved-if-fixed) to the JSON reports\n  --with-energy  attach the lva-energy streamed attribution (per-layer\n               joules, EDP, energy roofline) to the JSON reports\n  --retime     trace each semantic stream once, re-time every other design\n               point through the memoizing retime engine (bit-identical;\n               certificate-gated, falls back to full simulation)\n  --retime=verify  retime AND fully simulate every run, asserting the\n               results are bit-identical"
-                    );
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("unknown option {other}; try --help");
-                    std::process::exit(2);
-                }
-            }
-        }
-        opts
+        let usage = format!(
+            "{what}\n\nOptions:\n  --div N      input down-scale divisor (default {default_div}; 1 = paper size)\n  --layers N   layer prefix override\n  --csv/--no-csv  write results/<exp>.csv (default on)\n  --json       also write results/<exp>.json (machine-readable)\n  --profile    tap the cache hierarchy: reuse-distance histograms, 3C\n               miss classes, capacity curves (in the JSON output)\n  --chrome FILE  write a Chrome trace-event timeline (Perfetto) to FILE\n  --trace FILE stream JSONL telemetry spans to FILE\n  --jobs N     run independent design points on N threads (0 = all cores;\n               results and reports are identical to --jobs 1)\n  --wallclock  self-benchmark: time the sweep serial vs --jobs (median of\n               3 each) and write BENCH_sim_wallclock.json\n  --with-whatif  attach lva-whatif counterfactual analyses (bound\n               classification, cycles-saved-if-fixed) to the JSON reports\n  --with-energy  attach the lva-energy streamed attribution (per-layer\n               joules, EDP, energy roofline) to the JSON reports\n  --retime     trace each semantic stream once, re-time every other design\n               point through the memoizing retime engine (bit-identical;\n               certificate-gated, falls back to full simulation)\n  --retime=verify  retime AND fully simulate every run, asserting the\n               results are bit-identical"
+        );
+        finish(parse_from(default_div, false, env::args().skip(1)), &usage)
     }
 
     /// Parse the lint-tool subset: `--jobs N`, `--json`, `--trace FILE`,
     /// `--help`. Used by `lint-kernels` and `lint-dataflow`, whose exit
     /// codes distinguish findings (1) from internal/usage errors (2) —
-    /// unknown flags therefore exit 2, never 1.
+    /// usage errors therefore exit 2, never 1.
     pub fn parse_tool(what: &str) -> Opts {
-        let mut opts = Opts::defaults(1);
-        let mut args = env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--jobs" => opts.jobs = parse_jobs(&mut args),
-                "--json" => opts.json = true,
-                "--trace" => install_trace(&mut args),
-                "--help" | "-h" => {
-                    eprintln!(
-                        "{what}\n\nOptions:\n  --jobs N     check design points on N threads (0 = all cores;\n               the report is identical for every N)\n  --json       also save the report under results/\n  --trace FILE stream JSONL telemetry spans to FILE\n\nExit codes: 0 clean, 1 findings, 2 internal/usage error"
-                    );
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("unknown option {other}; try --help");
+        let usage = format!(
+            "{what}\n\nOptions:\n  --jobs N     check design points on N threads (0 = all cores;\n               the report is identical for every N)\n  --json       also save the report under results/\n  --trace FILE stream JSONL telemetry spans to FILE\n\nExit codes: 0 clean, 1 findings, 2 internal/usage error"
+        );
+        finish(parse_from(1, true, env::args().skip(1)), &usage)
+    }
+}
+
+/// What an argument list asks for.
+#[derive(Debug)]
+enum Parsed {
+    /// `--help`: print usage and exit 0.
+    Help,
+    /// Run with these options, streaming spans to `trace` if given.
+    Run { opts: Opts, trace: Option<String> },
+}
+
+/// Act on a parse: print usage, report a usage error (exit 2), or install
+/// the trace sink and hand back the options.
+fn finish(parsed: Result<Parsed, String>, usage: &str) -> Opts {
+    match parsed {
+        Ok(Parsed::Run { opts, trace }) => {
+            if let Some(path) = trace {
+                if let Err(e) = lva_trace::enable_to_file(&path) {
+                    eprintln!("cannot open trace file {path}: {e}");
                     std::process::exit(2);
                 }
+                eprintln!("[tracing to {path}]");
             }
+            opts
         }
-        opts
+        Ok(Parsed::Help) => {
+            eprintln!("{usage}");
+            std::process::exit(0);
+        }
+        Err(msg) => {
+            eprintln!("{msg}; try --help");
+            std::process::exit(2);
+        }
     }
 }
 
-fn parse_jobs(args: &mut impl Iterator<Item = String>) -> usize {
-    let n: usize = args.next().and_then(|v| v.parse().ok()).expect("--jobs needs an integer");
-    if n == 0 {
-        crate::par::default_jobs()
-    } else {
-        n
+/// Parse an argument list (program name excluded). `tool` restricts the
+/// flags to the lint-tool subset.
+fn parse_from(
+    default_div: usize,
+    tool: bool,
+    args: impl IntoIterator<Item = String>,
+) -> Result<Parsed, String> {
+    let mut opts = Opts::defaults(default_div);
+    let mut trace = None;
+    let mut args = args.into_iter();
+    while let Some(a) = args.next() {
+        let flag = a.as_str();
+        if tool && !matches!(flag, "--jobs" | "--json" | "--trace" | "--help" | "-h") {
+            return Err(format!("unknown option {flag}"));
+        }
+        match flag {
+            "--div" => {
+                opts.div = number(flag, args.next())?;
+                if opts.div == 0 {
+                    return Err("--div needs an integer >= 1".into());
+                }
+            }
+            "--layers" => opts.layers = Some(number(flag, args.next())?),
+            "--no-csv" => opts.csv = false,
+            "--csv" => opts.csv = true,
+            "--json" => opts.json = true,
+            "--no-json" => opts.json = false,
+            "--profile" => opts.profile = true,
+            "--jobs" => {
+                opts.jobs = match number(flag, args.next())? {
+                    0 => crate::par::default_jobs(),
+                    n => n,
+                };
+            }
+            "--wallclock" => opts.wallclock = true,
+            "--with-whatif" => opts.whatif = true,
+            "--with-energy" => opts.energy = true,
+            "--retime" => opts.retime = RetimeOpt::On,
+            "--retime=verify" => opts.retime = RetimeOpt::Verify,
+            "--retime=off" => opts.retime = RetimeOpt::Off,
+            "--chrome" => opts.chrome = Some(path(flag, args.next())?),
+            "--trace" => trace = Some(path(flag, args.next())?),
+            "--help" | "-h" => return Ok(Parsed::Help),
+            other => return Err(format!("unknown option {other}")),
+        }
+    }
+    Ok(Parsed::Run { opts, trace })
+}
+
+fn number(flag: &str, value: Option<String>) -> Result<usize, String> {
+    match value {
+        Some(v) => v.parse().map_err(|_| format!("{flag} needs an integer, got {v:?}")),
+        None => Err(format!("{flag} needs an integer")),
     }
 }
 
-fn install_trace(args: &mut impl Iterator<Item = String>) {
-    let path = args.next().expect("--trace needs a file path");
-    lva_trace::enable_to_file(&path)
-        .unwrap_or_else(|e| panic!("cannot open trace file {path}: {e}"));
-    eprintln!("[tracing to {path}]");
+fn path(flag: &str, value: Option<String>) -> Result<String, String> {
+    value.ok_or_else(|| format!("{flag} needs a file path"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Parsed, String> {
+        parse_from(4, false, argv.iter().map(ToString::to_string))
+    }
+
+    #[test]
+    fn malformed_values_are_errors() {
+        for argv in [
+            &["--div", "x"][..],
+            &["--div", "0"],
+            &["--div"],
+            &["--layers", "x"],
+            &["--jobs", "x"],
+            &["--chrome"],
+            &["--trace"],
+            &["--bogus"],
+        ] {
+            assert!(parse(argv).is_err(), "{argv:?} must be a usage error");
+        }
+        let tool = parse_from(1, true, ["--div".to_string(), "2".to_string()]);
+        assert!(tool.is_err(), "lint tools reject experiment flags");
+    }
+
+    #[test]
+    fn well_formed_flags_parse() {
+        let argv = ["--div", "8", "--layers", "6", "--jobs", "2", "--no-csv", "--retime=verify"];
+        let Ok(Parsed::Run { opts, trace }) = parse(&argv) else { panic!("valid argv") };
+        assert_eq!((opts.div, opts.layers, opts.jobs), (8, Some(6), 2));
+        assert!(!opts.csv);
+        assert_eq!(opts.retime, RetimeOpt::Verify);
+        assert_eq!(trace, None);
+        let Ok(Parsed::Run { trace, .. }) = parse(&["--trace", "t.jsonl"]) else { panic!() };
+        assert_eq!(trace.as_deref(), Some("t.jsonl"));
+        assert!(matches!(parse(&["--help"]), Ok(Parsed::Help)));
+    }
 }

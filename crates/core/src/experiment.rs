@@ -1,5 +1,6 @@
 //! Experiment definition and execution.
 
+use crate::observe::{self, Attach, Observer};
 use lva_isa::{
     IdealSpec, LayerMemo, Machine, MachineConfig, ProbeTape, RefitGeometry, RefitPlan, ReplayTrace,
     SegmentReplay,
@@ -157,40 +158,31 @@ impl RunSummary {
     }
 }
 
-/// One experiment executed once under the semantic recorder: the op stream
-/// every timing decision depends on, the probe tape (per-probe serving
-/// levels at the capture geometry), and the summary the capture run itself
-/// produced. Capture costs one full simulation; the stream can then be
-/// re-timed at arbitrarily many design points without re-executing kernels.
+/// An experiment executed once under the semantic recorder
+/// ([`observe::Capture`]): the op stream every timing decision depends on,
+/// the probe tape (per-probe serving levels at the capture geometry), and
+/// the summary the capture run itself produced. Capture costs one full
+/// simulation; the stream can then be re-timed at arbitrarily many design
+/// points without re-executing kernels ([`Experiment::retime`]).
 #[derive(Debug, Clone)]
-pub struct CapturedRun {
+pub struct Captured<S> {
     pub trace: Arc<ReplayTrace>,
     pub tape: Arc<ProbeTape>,
-    /// The summary at the capture configuration — bit-identical to what
-    /// [`Experiment::run`] returns, and the source of the static per-layer
-    /// metadata (flops, GEMM dims, algorithm, shapes) that re-timed
-    /// summaries inherit.
-    pub summary: RunSummary,
+    /// The summary at the capture configuration — bit-identical to the
+    /// same run without the recorder, and the source of the static
+    /// per-layer metadata (flops, GEMM dims, algorithm, shapes) that
+    /// re-timed summaries inherit.
+    pub summary: S,
 }
 
-impl CapturedRun {
-    /// Approximate captured-state footprint in bytes (trace + tape).
-    pub fn approx_bytes(&self) -> usize {
-        self.trace.approx_bytes() + self.tape.approx_bytes()
-    }
-}
+/// One captured inference ([`Experiment::run_traced`]).
+pub type CapturedRun = Captured<RunSummary>;
 
-/// A streaming experiment executed once under the semantic recorder: the
-/// multi-frame op stream (setup + every frame, `ResetTiming`-delimited),
-/// the probe tape, and the stream summary the capture itself produced.
-#[derive(Debug, Clone)]
-pub struct CapturedStream {
-    pub trace: Arc<ReplayTrace>,
-    pub tape: Arc<ProbeTape>,
-    pub summary: StreamSummary,
-}
+/// A captured multi-frame stream: setup plus every frame,
+/// `ResetTiming`-delimited.
+pub type CapturedStream = Captured<StreamSummary>;
 
-impl CapturedStream {
+impl<S> Captured<S> {
     /// Approximate captured-state footprint in bytes (trace + tape).
     pub fn approx_bytes(&self) -> usize {
         self.trace.approx_bytes() + self.tape.approx_bytes()
@@ -220,374 +212,38 @@ impl StreamSummary {
     }
 }
 
-impl Experiment {
-    pub fn new(hw: HwTarget, policy: ConvPolicy, workload: Workload) -> Self {
-        Experiment { hw, policy, workload, seed: 42, ideal: IdealSpec::NONE }
+impl From<RunSummary> for StreamSummary {
+    /// A single run as a one-frame stream.
+    fn from(steady: RunSummary) -> Self {
+        StreamSummary { per_frame_cycles: vec![steady.cycles], steady }
+    }
+}
+
+/// A summary a capture records and a re-time rebuilds: one run, or a
+/// stream of frames.
+pub trait Recorded: Sized {
+    fn frames(&self) -> usize;
+    /// Rebuild from the replay segments of the measured frames, grafting
+    /// this (captured) summary's static per-layer metadata onto the
+    /// re-timed dynamics.
+    fn rebuild(&self, frames: Vec<SegmentReplay>) -> Self;
+    /// The last frame's summary: the one observers watch.
+    fn last_mut(&mut self) -> &mut RunSummary;
+}
+
+impl Recorded for RunSummary {
+    fn frames(&self) -> usize {
+        1
     }
 
-    /// Same experiment under a counterfactual [`IdealSpec`].
-    #[must_use]
-    pub fn with_ideal(mut self, spec: IdealSpec) -> Self {
-        self.ideal = spec;
-        self
-    }
-
-    fn build(&self) -> (Machine, Network, lva_tensor::Shape) {
-        self.build_inner(false)
-    }
-
-    fn build_inner(&self, capture: bool) -> (Machine, Network, lva_tensor::Shape) {
-        let (specs, shape) = self.workload.model.build(self.workload.input_hw);
-        let specs = match self.workload.layer_limit {
-            Some(n) => specs[..n.min(specs.len())].to_vec(),
-            None => specs,
-        };
-        let mut cfg = self.hw.machine_config();
-        cfg.ideal = self.ideal;
-        let words = estimate_arena_words(&specs, shape, &self.policy);
-        cfg.arena_mib = (words * 4 / (1 << 20) + 32).max(64);
-        let mut m = Machine::new(cfg);
-        if capture {
-            // Capture from the very first op so replay reproduces the cache
-            // state the measured segment starts from (setup warms the
-            // hierarchy exactly as it did on the capture run).
-            m.start_capture();
-        }
-        let net = Network::build(&mut m, &specs, shape, self.policy, self.seed);
-        (m, net, shape)
-    }
-
-    fn summarize(m: &Machine, report: lva_nn::NetReport) -> RunSummary {
-        let mem = m.sys.stats();
-        RunSummary {
-            cycles: report.cycles,
-            flops: report.flops(),
-            avg_vlen_bits: m.stats.avg_vlen_bits(),
-            l1_miss_rate: mem.l1.miss_rate(),
-            l2_miss_rate: mem.l2.miss_rate(),
-            report,
-        }
-    }
-
-    /// Build the machine and network, run one inference, return summary.
-    pub fn run(&self) -> RunSummary {
-        let (mut m, mut net, shape) = self.build();
-        // Exclude setup, like the paper.
-        m.reset_timing();
-        let image = host_random(shape.len(), self.seed ^ 0x1533);
-        let report = net.run(&mut m, &image);
-        Self::summarize(&m, report)
-    }
-
-    /// Like [`Experiment::run`], with an `lva-prof` memory profiler tapped
-    /// into the hierarchy for the duration of the inference.
-    ///
-    /// Returns the summary (whose cache stats now carry the 3C miss
-    /// classification) plus the full [`lva_prof::MemProfile`] — per-level
-    /// reuse-distance histograms, predicted hit-rate-vs-capacity curves,
-    /// and per-layer/per-phase attribution. Profiling is pure observation:
-    /// cycle counts are identical to an unprofiled run.
-    pub fn run_profiled(&self) -> (RunSummary, lva_prof::MemProfile) {
-        let (mut m, mut net, shape) = self.build();
-        m.reset_timing();
-        let handle = lva_prof::attach(&mut m.sys);
-        let image = host_random(shape.len(), self.seed ^ 0x1533);
-        let mut report = net.run(&mut m, &image);
-        let profile = handle.detach(&mut m.sys);
-        // Refresh the snapshot so the report carries the 3C classification.
-        report.mem = m.sys.stats();
-        (Self::summarize(&m, report), profile)
-    }
-
-    /// Like [`Experiment::run`], with the `lva-energy` streaming probe
-    /// attached for the duration of the inference: every vector op, scalar
-    /// charge, cache access, DRAM transfer, and prefetch fill is charged
-    /// to the layer that caused it.
-    ///
-    /// Returns the summary plus the per-layer [`lva_energy::EnergyAttribution`],
-    /// whose streamed total reconciles with `model.estimate(...)` on the
-    /// same run. Pure observation: cycle counts are identical to an
-    /// unprobed run.
-    pub fn run_energy(
-        &self,
-        model: &lva_energy::EnergyModel,
-    ) -> (RunSummary, lva_energy::EnergyAttribution) {
-        let (mut m, mut net, shape) = self.build();
-        m.reset_timing();
-        let probe = lva_energy::attach(&mut m);
-        let image = host_random(shape.len(), self.seed ^ 0x1533);
-        let report = net.run(&mut m, &image);
-        let att = probe.finish(&mut m, &report, model, self.hw.l2_bytes());
-        (Self::summarize(&m, report), att)
-    }
-
-    /// Like [`Experiment::run`], recording pipeline events and returning a
-    /// Chrome trace-event timeline (layers, kernel phases, and attributed
-    /// stall intervals as parallel tracks over simulated cycles).
-    pub fn run_timeline(&self) -> (RunSummary, lva_trace::ChromeTrace) {
-        let (mut m, mut net, shape) = self.build();
-        m.reset_timing();
-        m.record_pipe_events();
-        let image = host_random(shape.len(), self.seed ^ 0x1533);
-        let report = net.run(&mut m, &image);
-        let dropped = m.pipe_events_dropped();
-        if dropped > 0 {
-            eprintln!("run_timeline: recorder cap hit, {dropped} pipeline events dropped (timeline truncated)");
-        }
-        let events = m.take_pipe_events();
-        // Layers run back-to-back from cycle 0 (the clock was just reset),
-        // so per-layer spans are the cumulative sums of layer cycles.
-        let mut layers: Vec<lva_prof::LayerSpan> = Vec::with_capacity(report.layers.len());
-        let mut t = 0u64;
-        for l in &report.layers {
-            layers.push((format!("L{} {}", l.index, l.desc), t, t + l.cycles));
-            t += l.cycles;
-        }
-        // Absorb stall gaps below ~1/100k of the run: invisible at any
-        // usable zoom, and it keeps full-network exports Perfetto-sized.
-        let resolution = m.cycles() / 100_000;
-        let trace = lva_prof::timeline_coarse(&events, &layers, resolution);
-        (Self::summarize(&m, report), trace)
-    }
-
-    /// Run `frames` inferences back-to-back on the same machine (caches
-    /// stay warm across frames), resetting the clock per frame.
-    ///
-    /// # Panics
-    /// Panics if `frames == 0`.
-    pub fn run_stream(&self, frames: usize) -> StreamSummary {
-        assert!(frames > 0, "need at least one frame");
-        let (mut m, mut net, shape) = self.build();
-        let mut per_frame = Vec::with_capacity(frames);
-        let mut last = None;
-        for f in 0..frames {
-            m.reset_timing();
-            let image = host_random(shape.len(), self.seed ^ (0x1533 + f as u64));
-            let report = net.run(&mut m, &image);
-            per_frame.push(report.cycles);
-            last = Some(Self::summarize(&m, report));
-        }
-        StreamSummary { per_frame_cycles: per_frame, steady: last.expect("frames > 0") }
-    }
-
-    /// Like [`Experiment::run`], but capturing the semantic op stream and
-    /// probe tape alongside the (identical) summary. One capture feeds any
-    /// number of [`Experiment::retime_live`] / [`Experiment::retime_tape`]
-    /// calls at other design points.
-    pub fn run_traced(&self) -> CapturedRun {
-        let (mut m, mut net, shape) = self.build_inner(true);
-        m.reset_timing();
-        let image = host_random(shape.len(), self.seed ^ 0x1533);
-        let report = net.run(&mut m, &image);
-        let summary = Self::summarize(&m, report);
-        let (trace, tape) = m.finish_capture().expect("capture started in build_inner");
-        CapturedRun { trace: Arc::new(trace), tape: Arc::new(tape), summary }
-    }
-
-    /// [`Experiment::run_stream`] under the semantic recorder: one capture
-    /// of the whole multi-frame stream (setup plus `frames` inferences),
-    /// re-timeable at other design points like a [`CapturedRun`].
-    ///
-    /// # Panics
-    /// Panics if `frames == 0`.
-    pub fn run_stream_traced(&self, frames: usize) -> CapturedStream {
-        assert!(frames > 0, "need at least one frame");
-        let (mut m, mut net, shape) = self.build_inner(true);
-        let mut per_frame = Vec::with_capacity(frames);
-        let mut last = None;
-        for f in 0..frames {
-            m.reset_timing();
-            let image = host_random(shape.len(), self.seed ^ (0x1533 + f as u64));
-            let report = net.run(&mut m, &image);
-            per_frame.push(report.cycles);
-            last = Some(Self::summarize(&m, report));
-        }
-        let summary =
-            StreamSummary { per_frame_cycles: per_frame, steady: last.expect("frames > 0") };
-        let (trace, tape) = m.finish_capture().expect("capture started in build_inner");
-        CapturedStream { trace: Arc::new(trace), tape: Arc::new(tape), summary }
-    }
-
-    /// A machine for re-timing a captured stream at this experiment's
-    /// configuration. Replay never executes functionally, so the arena is
-    /// kept at the minimum the allocator accepts.
-    fn replay_machine(&self) -> Machine {
-        let mut cfg = self.hw.machine_config();
-        cfg.ideal = self.ideal;
-        cfg.arena_mib = 1;
-        Machine::new(cfg)
-    }
-
-    /// Re-time a captured stream at this experiment's design point by
-    /// re-driving the full memory hierarchy with the recorded addresses
-    /// (live replay). Exact on every configuration axis — including cache
-    /// geometry changes the probe tape cannot absorb — at the cost of
-    /// simulating the hierarchy again.
-    pub fn retime_live(&self, cap: &CapturedRun) -> RunSummary {
-        let mut m = self.replay_machine();
-        let segs = m.replay(&cap.trace);
-        Self::reconstruct(cap, segs)
-    }
-
-    /// [`Experiment::retime_live`], additionally recording a fresh probe
-    /// tape at this configuration's geometry so later timing-only variations
-    /// can use the (much faster) [`Experiment::retime_tape`] path.
-    pub fn retime_live_recording(&self, cap: &CapturedRun) -> (RunSummary, ProbeTape) {
-        let mut m = self.replay_machine();
-        m.record_probe_tape();
-        let segs = m.replay(&cap.trace);
-        let tape = m.take_probe_tape().expect("tape recording was on");
-        (Self::reconstruct(cap, segs), tape)
-    }
-
-    /// Re-time a captured stream by replaying the probe tape: each memory
-    /// probe's serving level is read back instead of re-simulated, so the
-    /// hierarchy state machine never runs. Exact for every timing-only axis
-    /// (latency constants, lanes, core CPI, `IdealSpec`); refuses with an
-    /// error if this configuration changes the hierarchy's *state* geometry
-    /// (capacities, associativity, line size, prefetcher).
-    pub fn retime_tape(&self, cap: &CapturedRun) -> Result<RunSummary, String> {
-        self.retime_tape_with(cap, &cap.tape)
-    }
-
-    /// [`Experiment::retime_tape`] with an explicit tape — e.g. one recorded
-    /// by [`Experiment::retime_live_recording`] at a different geometry than
-    /// the original capture.
-    pub fn retime_tape_with(
-        &self,
-        cap: &CapturedRun,
-        tape: &Arc<ProbeTape>,
-    ) -> Result<RunSummary, String> {
-        let mut m = self.replay_machine();
-        m.play_probe_tape(Arc::clone(tape))?;
-        let segs = m.replay(&cap.trace);
-        Ok(Self::reconstruct(cap, segs))
-    }
-
-    /// The probe-count / miss-ring geometry of this experiment's memory
-    /// system, for building [`RefitPlan`]s and scoping [`LayerMemo`]s.
-    pub fn refit_geometry(&self) -> RefitGeometry {
-        let cfg = self.hw.machine_config();
-        RefitGeometry {
-            line_bytes: cfg.mem.l1.line_bytes as u64,
-            hw_prefetch: cfg.mem.hw_prefetch.is_some(),
-        }
-    }
-
-    /// [`Experiment::retime_tape`] through a per-layer timing memo: layers
-    /// whose reduced op region, tape slice and relative entry state were
-    /// seen before are applied as stored state deltas instead of
-    /// re-interpreted (bit-identical; see `lva_isa::refit`). `plan` must be
-    /// built from `cap.trace` at [`Experiment::refit_geometry`], and `memo`
-    /// scoped to exactly this design point — the `lva-retime` store manages
-    /// both.
-    pub fn retime_tape_memoized(
-        &self,
-        cap: &CapturedRun,
-        plan: &RefitPlan,
-        memo: &mut LayerMemo,
-    ) -> Result<RunSummary, String> {
-        self.retime_tape_memoized_with(cap, &cap.tape, plan, memo)
-    }
-
-    /// [`Experiment::retime_tape_memoized`] with an explicit tape (one
-    /// recorded at this configuration's geometry by
-    /// [`Experiment::retime_live_recording`] when it differs from the
-    /// capture's).
-    pub fn retime_tape_memoized_with(
-        &self,
-        cap: &CapturedRun,
-        tape: &Arc<ProbeTape>,
-        plan: &RefitPlan,
-        memo: &mut LayerMemo,
-    ) -> Result<RunSummary, String> {
-        let mut m = self.replay_machine();
-        m.play_probe_tape(Arc::clone(tape))?;
-        let segs = m.replay_with(&cap.trace, Some((plan, memo)));
-        Ok(Self::reconstruct(cap, segs))
-    }
-
-    /// Re-time a captured multi-frame stream through the probe tape and
-    /// per-layer memo, reconstructing the per-frame cycle series and the
-    /// steady-state summary. Bit-identical to [`Experiment::run_stream`]
-    /// at this design point (stream-equivalence permitting, as certified
-    /// by `lva-depgraph`).
-    pub fn retime_stream_tape_memoized(
-        &self,
-        cap: &CapturedStream,
-        plan: &RefitPlan,
-        memo: &mut LayerMemo,
-    ) -> Result<StreamSummary, String> {
-        let mut m = self.replay_machine();
-        m.play_probe_tape(Arc::clone(&cap.tape))?;
-        let segs = m.replay_with(&cap.trace, Some((plan, memo)));
-        Ok(Self::reconstruct_stream(cap, segs))
-    }
-
-    /// Re-time a captured multi-frame stream by re-driving the memory
-    /// hierarchy with the recorded addresses (live replay) — exact on every
-    /// configuration axis, including cache-geometry changes.
-    pub fn retime_stream_live(&self, cap: &CapturedStream) -> StreamSummary {
-        let mut m = self.replay_machine();
-        let segs = m.replay(&cap.trace);
-        Self::reconstruct_stream(cap, segs)
-    }
-
-    /// Re-time a captured stream *with the energy probe attached*: live
-    /// replay (the probe's memory tap needs the real hierarchy) split at
-    /// the setup boundary so the probe observes exactly what it would on
-    /// [`Experiment::run_energy`] — attached after setup, before the
-    /// measured inference. Functional execution and kernel planning are
-    /// skipped; the attribution is bit-identical.
-    pub fn retime_energy(
-        &self,
-        cap: &CapturedRun,
-        model: &lva_energy::EnergyModel,
-    ) -> (RunSummary, lva_energy::EnergyAttribution) {
-        let mut m = self.replay_machine();
-        let start = m.replay_setup(&cap.trace);
-        let probe = lva_energy::attach(&mut m);
-        let segs = m.replay_from(&cap.trace, start);
-        assert_eq!(segs.len(), 1, "captured run has exactly one measured segment");
-        let summary = Self::reconstruct(cap, segs);
-        let att = probe.finish(&mut m, &summary.report, model, self.hw.l2_bytes());
-        (summary, att)
-    }
-
-    /// Rebuild a [`RunSummary`] from the measured segment of a replay,
-    /// grafting the capture run's static per-layer metadata (flops, GEMM
-    /// dims, algorithm, output shapes) onto the re-timed dynamics.
-    fn reconstruct(cap: &CapturedRun, mut segs: Vec<SegmentReplay>) -> RunSummary {
-        // `replay` sees both the setup and measured segments;
-        // `replay_from` (after `replay_setup`) sees only the measured one.
-        assert!(!segs.is_empty(), "captured stream produced no segments");
-        let seg = segs.pop().expect("non-empty");
-        Self::reconstruct_seg(&cap.summary.report.layers, seg)
-    }
-
-    /// Rebuild a [`StreamSummary`] from a multi-frame replay: segment 0 is
-    /// setup, segments 1.. are the frames, and the last frame reconstructs
-    /// the steady-state summary.
-    fn reconstruct_stream(cap: &CapturedStream, mut segs: Vec<SegmentReplay>) -> StreamSummary {
-        let frames = cap.summary.per_frame_cycles.len();
-        assert_eq!(segs.len(), frames + 1, "frame count drifted across replay");
-        let steady_seg = segs.pop().expect("at least one frame");
-        let per_frame_cycles: Vec<u64> = segs
-            .iter()
-            .skip(1)
-            .map(|s| s.cycles)
-            .chain(std::iter::once(steady_seg.cycles))
-            .collect();
-        let steady = Self::reconstruct_seg(&cap.summary.steady.report.layers, steady_seg);
-        StreamSummary { per_frame_cycles, steady }
-    }
-
-    fn reconstruct_seg(stat_layers: &[LayerReport], seg: SegmentReplay) -> RunSummary {
-        assert_eq!(seg.layers.len(), stat_layers.len(), "layer count drifted across replay");
+    fn rebuild(&self, mut frames: Vec<SegmentReplay>) -> Self {
+        assert_eq!(frames.len(), 1, "captured run has exactly one measured segment");
+        let seg = frames.pop().expect("one segment");
+        assert_eq!(seg.layers.len(), self.report.layers.len(), "layer count drifted across replay");
         let layers: Vec<LayerReport> = seg
             .layers
             .into_iter()
-            .zip(stat_layers)
+            .zip(&self.report.layers)
             .map(|(l, stat)| {
                 debug_assert_eq!(l.index, stat.index);
                 let avg_vlen_bits =
@@ -623,6 +279,199 @@ impl Experiment {
             l1_miss_rate,
             l2_miss_rate,
             report,
+        }
+    }
+
+    fn last_mut(&mut self) -> &mut RunSummary {
+        self
+    }
+}
+
+impl Recorded for StreamSummary {
+    fn frames(&self) -> usize {
+        self.per_frame_cycles.len()
+    }
+
+    fn rebuild(&self, mut frames: Vec<SegmentReplay>) -> Self {
+        assert_eq!(frames.len(), self.frames(), "frame count drifted across replay");
+        let per_frame_cycles = frames.iter().map(|s| s.cycles).collect();
+        let last = frames.pop().expect("at least one frame");
+        StreamSummary { per_frame_cycles, steady: self.steady.rebuild(vec![last]) }
+    }
+
+    fn last_mut(&mut self) -> &mut RunSummary {
+        &mut self.steady
+    }
+}
+
+/// Where a re-time's memory-system outcomes come from.
+pub enum Source<'a> {
+    /// Live replay: the recorded addresses re-drive this design point's
+    /// full memory hierarchy. Exact on every configuration axis, including
+    /// cache-geometry changes no tape can absorb, at the cost of
+    /// simulating the hierarchy again. Attach [`observe::RecordTape`] to
+    /// leave a tape for later refits at this geometry.
+    Live,
+    /// Tape refit: each memory probe's serving level is read back from
+    /// `tape` instead of re-simulated, so the hierarchy state machine never
+    /// runs, and layers whose reduced op region, tape slice and relative
+    /// entry state were seen before are applied from `memo` as stored
+    /// state deltas (bit-identical; see `lva_isa::refit`). Exact for every
+    /// timing-only axis (latency constants, lanes, core CPI, `IdealSpec`);
+    /// an error if `tape` was recorded at another state geometry
+    /// (capacities, associativity, line size, prefetcher). `plan` must be
+    /// built from the capture's trace at [`Experiment::refit_geometry`],
+    /// and `memo` scoped to exactly this design point — the `lva-retime`
+    /// store manages both.
+    Tape { tape: &'a Arc<ProbeTape>, plan: &'a RefitPlan, memo: &'a mut LayerMemo },
+}
+
+impl Experiment {
+    pub fn new(hw: HwTarget, policy: ConvPolicy, workload: Workload) -> Self {
+        Experiment { hw, policy, workload, seed: 42, ideal: IdealSpec::NONE }
+    }
+
+    /// Same experiment under a counterfactual [`IdealSpec`].
+    #[must_use]
+    pub fn with_ideal(mut self, spec: IdealSpec) -> Self {
+        self.ideal = spec;
+        self
+    }
+
+    fn config(&self) -> MachineConfig {
+        let mut cfg = self.hw.machine_config();
+        cfg.ideal = self.ideal;
+        cfg
+    }
+
+    fn summarize(m: &Machine, report: NetReport) -> RunSummary {
+        let mem = m.sys.stats();
+        RunSummary {
+            cycles: report.cycles,
+            flops: report.flops(),
+            avg_vlen_bits: m.stats.avg_vlen_bits(),
+            l1_miss_rate: mem.l1.miss_rate(),
+            l2_miss_rate: mem.l2.miss_rate(),
+            report,
+        }
+    }
+
+    /// Build the machine and network, run one inference, return summary.
+    pub fn run(&self) -> RunSummary {
+        self.run_observed((), 1).0.steady
+    }
+
+    /// [`Experiment::run`] under [`observe::Capture`]: the identical
+    /// summary plus the semantic op stream and probe tape, re-timeable at
+    /// other design points with [`Experiment::retime`].
+    pub fn run_traced(&self) -> CapturedRun {
+        let (s, (trace, tape)) = self.run_observed(observe::Capture, 1);
+        Captured { trace, tape, summary: s.steady }
+    }
+
+    /// Build the machine and network, then run `frames` inferences
+    /// back-to-back on the same machine (caches stay warm across frames),
+    /// resetting the clock per frame so setup is excluded, like the paper.
+    ///
+    /// `observer` watches the last frame, the one `steady` summarizes (a
+    /// capture records from the first op; see [`Attach`]). Observation is
+    /// pure: cycle counts are identical to an unobserved run.
+    ///
+    /// # Panics
+    /// Panics if `frames == 0`.
+    pub fn run_observed<O: Observer>(
+        &self,
+        observer: O,
+        frames: usize,
+    ) -> (StreamSummary, O::Output) {
+        assert!(frames > 0, "need at least one frame");
+        let (specs, shape) = self.workload.model.build(self.workload.input_hw);
+        let specs = match self.workload.layer_limit {
+            Some(n) => specs[..n.min(specs.len())].to_vec(),
+            None => specs,
+        };
+        let mut cfg = self.config();
+        let words = estimate_arena_words(&specs, shape, &self.policy);
+        cfg.arena_mib = (words * 4 / (1 << 20) + 32).max(64);
+        let mut m = Machine::new(cfg);
+        let mut attached = (O::ATTACH != Attach::Frame).then(|| observer.attach(&mut m));
+        let mut net = Network::build(&mut m, &specs, shape, self.policy, self.seed);
+        let mut per_frame_cycles = Vec::with_capacity(frames);
+        let mut last = None;
+        for f in 0..frames {
+            m.reset_timing();
+            if f + 1 == frames && attached.is_none() {
+                attached = Some(observer.attach(&mut m));
+            }
+            let image = host_random(shape.len(), self.seed ^ (0x1533 + f as u64));
+            let report = net.run(&mut m, &image);
+            per_frame_cycles.push(report.cycles);
+            last = Some(report);
+        }
+        let mut report = last.expect("frames > 0");
+        let attached = attached.expect("attached by the last frame");
+        let out = observer.finish(attached, &mut m, &mut report, self);
+        (StreamSummary { per_frame_cycles, steady: Self::summarize(&m, report) }, out)
+    }
+
+    /// Re-time a capture at this experiment's design point from `source`,
+    /// with `observer` attached to the replay: functional execution and
+    /// kernel planning are skipped, and the result is bit-identical to
+    /// [`Experiment::run_observed`] with the same observer here (stream
+    /// equivalence permitting, as certified by `lva-depgraph`).
+    ///
+    /// # Errors
+    /// A `tape` recorded at another state geometry; an
+    /// [`Attach::Functional`] observer; an [`Attach::Frame`] observer on a
+    /// tape refit or on a multi-frame recording.
+    pub fn retime<S: Recorded, O: Observer>(
+        &self,
+        cap: &Captured<S>,
+        source: Source<'_>,
+        observer: O,
+    ) -> Result<(S, O::Output), String> {
+        match O::ATTACH {
+            Attach::Functional => return Err("a re-time executes no kernels to capture".into()),
+            Attach::Frame if matches!(source, Source::Tape { .. }) || cap.summary.frames() != 1 => {
+                return Err("frame observers need a live replay of a one-frame recording".into());
+            }
+            _ => {}
+        }
+        let mut cfg = self.config();
+        // Replay never executes functionally, so the arena is kept at the
+        // minimum the allocator accepts.
+        cfg.arena_mib = 1;
+        let mut m = Machine::new(cfg);
+        let memo = match source {
+            Source::Live => None,
+            Source::Tape { tape, plan, memo } => {
+                m.play_probe_tape(Arc::clone(tape))?;
+                Some((plan, memo))
+            }
+        };
+        let (frames, attached) = if O::ATTACH == Attach::Frame {
+            // Attach at the setup boundary, exactly where a live run does.
+            let start = m.replay_setup(&cap.trace);
+            let attached = observer.attach(&mut m);
+            (m.replay_from(&cap.trace, start), attached)
+        } else {
+            let attached = observer.attach(&mut m);
+            let mut segments = m.replay_with(&cap.trace, memo);
+            segments.remove(0); // the setup segment
+            (segments, attached)
+        };
+        let mut summary = cap.summary.rebuild(frames);
+        let out = observer.finish(attached, &mut m, &mut summary.last_mut().report, self);
+        Ok((summary, out))
+    }
+
+    /// The probe-count / miss-ring geometry of this experiment's memory
+    /// system, for building [`RefitPlan`]s and scoping [`LayerMemo`]s.
+    pub fn refit_geometry(&self) -> RefitGeometry {
+        let cfg = self.hw.machine_config();
+        RefitGeometry {
+            line_bytes: cfg.mem.l1.line_bytes as u64,
+            hw_prefetch: cfg.mem.hw_prefetch.is_some(),
         }
     }
 }
@@ -671,39 +520,79 @@ mod tests {
         assert!(b.cycles < a.cycles);
     }
 
+    /// Every observer is pure observation: total cycles, per-layer cycles,
+    /// per-layer stall breakdowns and VPU statistics equal the plain run's.
+    /// Each row also checks the observer's own output.
     #[test]
-    fn profiled_run_is_timing_neutral_and_classifies_misses() {
-        let e = Experiment::new(
-            HwTarget::RvvGem5 { vlen_bits: 1024, lanes: 8, l2_bytes: 1 << 20 },
-            ConvPolicy::gemm_only(GemmVariant::opt3()),
-            Workload { model: ModelId::Yolov3, input_hw: 32, layer_limit: Some(4) },
-        );
-        let plain = e.run();
-        let (s, profile) = e.run_profiled();
-        assert_eq!(s.cycles, plain.cycles, "profiling must not perturb timing");
-        let l2 = profile.level(lva_sim::TapLevel::L2).expect("l2 profiled");
-        assert!(l2.accesses > 0);
-        // Every L2 miss got a 3C class, and the report carries it.
-        let c = s.report.mem.l2.three_c;
-        assert_eq!(c.classified(), s.report.mem.l2.misses);
-        assert_eq!(c, l2.three_c);
-        // Layer attribution covered all four layers.
-        assert_eq!(profile.layers.len(), 4);
-        assert!(profile.layers.iter().all(|l| l.accesses > 0));
+    fn observers_are_timing_neutral() {
+        let exp = |vlen_bits, layers| {
+            Experiment::new(
+                HwTarget::RvvGem5 { vlen_bits, lanes: 8, l2_bytes: 1 << 20 },
+                ConvPolicy::gemm_only(GemmVariant::opt3()),
+                Workload { model: ModelId::Yolov3, input_hw: 32, layer_limit: Some(layers) },
+            )
+        };
+        type Observed = fn(&Experiment) -> RunSummary;
+        let cases: [(&str, Experiment, Observed); 5] = [
+            ("none", exp(1024, 4), |e| e.run_observed((), 1).0.steady),
+            ("profile", exp(1024, 4), |e| {
+                let (s, profile) = e.run_observed(observe::Profile, 1);
+                let l2 = profile.level(lva_sim::TapLevel::L2).expect("l2 profiled");
+                assert!(l2.accesses > 0);
+                // Every L2 miss got a 3C class, and the report carries it.
+                let c = s.steady.report.mem.l2.three_c;
+                assert_eq!(c.classified(), s.steady.report.mem.l2.misses);
+                assert_eq!(c, l2.three_c);
+                // Layer attribution covered all four layers.
+                assert_eq!(profile.layers.len(), 4);
+                assert!(profile.layers.iter().all(|l| l.accesses > 0));
+                s.steady
+            }),
+            ("energy", exp(2048, 4), |e| {
+                let model = lva_energy::EnergyModel::default();
+                e.run_observed(observe::Energy(&model), 1).0.steady
+            }),
+            ("timeline", exp(1024, 2), |e| {
+                let (s, trace) = e.run_observed(observe::Timeline, 1);
+                assert!(!trace.is_empty());
+                assert_eq!(trace.validate(), Ok(()));
+                s.steady
+            }),
+            ("capture", exp(1024, 4), |e| e.run_traced().summary),
+        ];
+        for (name, e, observed) in cases {
+            let plain = e.run();
+            let s = observed(&e);
+            assert_eq!(s.cycles, plain.cycles, "{name} must not perturb timing");
+            assert_eq!(s.report.layers.len(), plain.report.layers.len());
+            for (l, p) in s.report.layers.iter().zip(&plain.report.layers) {
+                assert_eq!(l.cycles, p.cycles, "{name}: layer {} cycles", l.index);
+                assert_eq!(l.stalls, p.stalls, "{name}: layer {} stalls", l.index);
+            }
+            assert_eq!(s.report.vpu, plain.report.vpu, "{name}: VPU statistics");
+        }
     }
 
+    /// A live replay and a tape refit both reproduce the captured run, and
+    /// observers a re-time cannot serve are refused, not silently wrong.
     #[test]
-    fn timeline_run_is_timing_neutral_and_valid() {
+    fn retime_reproduces_the_capture_and_refuses_unservable_observers() {
         let e = Experiment::new(
             HwTarget::RvvGem5 { vlen_bits: 1024, lanes: 8, l2_bytes: 1 << 20 },
             ConvPolicy::gemm_only(GemmVariant::opt3()),
             Workload { model: ModelId::Yolov3, input_hw: 32, layer_limit: Some(2) },
         );
-        let plain = e.run();
-        let (s, trace) = e.run_timeline();
-        assert_eq!(s.cycles, plain.cycles, "event recording must not perturb timing");
-        assert!(!trace.is_empty());
-        assert_eq!(trace.validate(), Ok(()));
+        let cap = e.run_traced();
+        let (live, tape) = e.retime(&cap, Source::Live, observe::RecordTape).expect("live replay");
+        assert_eq!(live.report, cap.summary.report);
+        let (tape, plan) = (Arc::new(tape), RefitPlan::build(&cap.trace, e.refit_geometry()));
+        let mut memo = LayerMemo::default();
+        let refit = Source::Tape { tape: &tape, plan: &plan, memo: &mut memo };
+        let (refit, ()) = e.retime(&cap, refit, ()).expect("tape at its own geometry");
+        assert_eq!(refit.report, cap.summary.report);
+        assert!(e.retime(&cap, Source::Live, observe::Capture).is_err());
+        let refit = Source::Tape { tape: &tape, plan: &plan, memo: &mut memo };
+        assert!(e.retime(&cap, refit, observe::Profile).is_err());
     }
 
     #[test]
@@ -713,7 +602,7 @@ mod tests {
             ConvPolicy::gemm_only(GemmVariant::opt3()),
             Workload { model: ModelId::Yolov3, input_hw: 32, layer_limit: Some(4) },
         );
-        let s = e.run_stream(3);
+        let (s, ()) = e.run_observed((), 3);
         assert_eq!(s.per_frame_cycles.len(), 3);
         assert!(s.steady_cycles() <= s.cold_cycles(), "warm caches cannot be slower");
         // Frames 2 and 3 are identical (steady state, deterministic).

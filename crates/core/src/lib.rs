@@ -15,6 +15,7 @@
 pub mod cli;
 pub mod energy;
 pub mod experiment;
+pub mod observe;
 pub mod par;
 pub mod report;
 pub mod run_report;
@@ -22,8 +23,8 @@ pub mod run_report;
 pub use cli::{Opts, RetimeOpt};
 pub use energy::{EnergyBreakdown, EnergyCounts, EnergyModel, EnergyReport};
 pub use experiment::{
-    scaled_input, CapturedRun, CapturedStream, Experiment, HwTarget, RunSummary, StreamSummary,
-    Workload,
+    scaled_input, Captured, CapturedRun, CapturedStream, Experiment, HwTarget, RunSummary, Source,
+    StreamSummary, Workload,
 };
 pub use lva_energy::EnergyAttribution;
 pub use par::{default_jobs, parallel_map};

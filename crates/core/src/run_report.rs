@@ -409,7 +409,9 @@ mod tests {
             ConvPolicy::gemm_only(lva_kernels::GemmVariant::opt3()),
             Workload { model: ModelId::Yolov3, input_hw: 32, layer_limit: Some(3) },
         );
-        let (s, att) = e.run_energy(&crate::energy::EnergyModel::default());
+        let model = crate::energy::EnergyModel::default();
+        let (s, att) = e.run_observed(crate::observe::Energy(&model), 1);
+        let s = s.steady;
         let report = RunReport::new("t", &e, &s).with_energy(att.to_json());
         let compact = report.to_json().to_string_compact();
         let parsed = Json::parse(&compact).expect("report with energy parses");

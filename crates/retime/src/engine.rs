@@ -1,16 +1,19 @@
 //! The retime engine: one front door for experiment execution that
 //! transparently picks the cheapest sound path.
 //!
-//! Dispatch per request, in order:
+//! Every request — a run, a stream of frames, or a run with the energy
+//! probe — takes one dispatch, in order:
 //!
 //! 1. mode `Off` → full simulation (the engine is a no-op).
 //! 2. certificate gate refused → full simulation, refusal recorded.
-//! 3. run memo hit → cloned summary.
+//! 3. run memo hit → cloned summary (energy requests skip the memo: it
+//!    holds timings, not attributions).
 //! 4. no recording for the stream → capture (one full simulation under
 //!    the recorder; its summary *is* the answer).
 //! 5. recording + a tape at this geometry → memoized tape refit.
-//! 6. recording, no tape at this geometry → live replay, recording a
-//!    fresh tape so the next run at this geometry refits.
+//! 6. recording, no tape at this geometry → live replay; a run's replay
+//!    records a fresh tape so the next run at this geometry refits, and
+//!    an energy request's replay carries the probe.
 //!
 //! Under mode `Verify` every request additionally runs the full
 //! simulator and asserts the results are bit-identical — cycles, flops,
@@ -24,7 +27,11 @@
 use crate::cert::CertGate;
 use crate::key::{ConfigKey, StreamKey};
 use crate::store::RetimeStore;
-use lva_core::{Experiment, RetimeOpt, RunSummary, StreamSummary};
+use lva_core::observe;
+use lva_core::{
+    Captured, EnergyAttribution, EnergyModel, Experiment, RetimeOpt, RunSummary, Source,
+    StreamSummary,
+};
 use lva_trace::Json;
 use std::sync::Arc;
 
@@ -42,6 +49,25 @@ pub struct Counters {
     pub stream_refits: u64,
     pub stream_live_replays: u64,
     pub energy_retimes: u64,
+}
+
+/// What one request asks the engine for.
+#[derive(Clone, Copy)]
+enum Ask<'a> {
+    /// One measured frame ([`RetimeEngine::run`]).
+    Run,
+    /// Measured frames on warm caches ([`RetimeEngine::run_stream`]).
+    Stream(usize),
+    /// One measured frame with the energy probe ([`RetimeEngine::run_energy`]).
+    Energy(&'a EnergyModel),
+}
+
+/// A request's result, the attribution of an energy request, and the path
+/// that produced it.
+struct Answer {
+    summary: StreamSummary,
+    energy: Option<EnergyAttribution>,
+    path: &'static str,
 }
 
 /// See the module docs.
@@ -138,135 +164,170 @@ impl RetimeEngine {
 
     /// [`Self::run`], also naming the path that produced the result.
     pub fn run_explained(&mut self, e: &Experiment) -> (RunSummary, &'static str) {
-        if !self.mode.enabled() {
-            self.counters.full_runs += 1;
-            return (e.run(), "full");
-        }
-        if !self.gate_ok() {
-            self.counters.refused_runs += 1;
-            return (e.run(), "refused");
-        }
-        let sk = StreamKey::of(e);
-        let ck = ConfigKey::of(e);
-        if let Some(s) = self.store.run_cached(&sk, &ck) {
-            self.counters.run_memo_hits += 1;
-            self.verify(e, &s);
-            return (s, "run-memo");
-        }
-        let fp = mem_fingerprint(e);
-        let (summary, path) = match self.store.lookup(&sk, &fp, e.refit_geometry()) {
-            None => {
-                let cap = e.run_traced();
-                let s = cap.summary.clone();
-                self.store.insert_trace(sk.clone(), cap, fp);
-                self.counters.captures += 1;
-                (s, "capture")
-            }
-            Some((cap, Some(tape), plan)) => {
-                let memo = self.store.layer_memo_mut(ck.clone());
-                let s = e
-                    .retime_tape_memoized_with(&cap, &tape, &plan, memo)
-                    .expect("tape indexed under this geometry fingerprint");
-                self.counters.tape_refits += 1;
-                (s, "tape-refit")
-            }
-            Some((cap, None, _plan)) => {
-                let (s, tape) = e.retime_live_recording(&cap);
-                self.store.add_tape(&sk, fp, Arc::new(tape));
-                self.counters.live_replays += 1;
-                (s, "live-replay")
-            }
-        };
-        self.verify(e, &summary);
-        self.store.store_run(sk, ck, summary.clone());
-        (summary, path)
+        let a = self.dispatch(e, Ask::Run);
+        (a.summary.steady, a.path)
     }
 
-    /// [`Experiment::run_stream`] through the engine: streaming captures
-    /// are recorded per (stream, frame count) and re-timed like runs.
+    /// `frames` warm-cache inferences ([`Experiment::run_observed`]) through
+    /// the engine: streaming captures are recorded per (stream, frame
+    /// count) and re-timed like runs.
     pub fn run_stream(&mut self, e: &Experiment, frames: usize) -> StreamSummary {
-        if !self.mode.enabled() {
-            self.counters.full_runs += 1;
-            return e.run_stream(frames);
-        }
-        if !self.gate_ok() {
-            self.counters.refused_runs += 1;
-            return e.run_stream(frames);
-        }
-        let sk = StreamKey::of(e);
-        let ck = ConfigKey::of(e);
-        if let Some(s) = self.store.stream_cached(&sk, frames, &ck) {
-            self.counters.run_memo_hits += 1;
-            self.verify_stream(e, frames, &s);
-            return s;
-        }
-        let fp = mem_fingerprint(e);
-        let summary = match self.store.lookup_stream(&sk, frames, e.refit_geometry()) {
-            None => {
-                let cap = e.run_stream_traced(frames);
-                let s = cap.summary.clone();
-                self.store.insert_stream(sk.clone(), frames, cap, fp);
-                self.counters.stream_captures += 1;
-                s
-            }
-            Some((cap, tape_fp, plan)) => {
-                if tape_fp == fp {
-                    let memo = self.store.layer_memo_mut(ck.clone());
-                    self.counters.stream_refits += 1;
-                    e.retime_stream_tape_memoized(&cap, &plan, memo)
-                        .expect("fingerprint-matched stream tape")
-                } else {
-                    self.counters.stream_live_replays += 1;
-                    e.retime_stream_live(&cap)
-                }
-            }
-        };
-        self.verify_stream(e, frames, &summary);
-        self.store.store_stream_run(sk, frames, ck, summary.clone());
-        summary
+        self.dispatch(e, Ask::Stream(frames)).summary
     }
 
-    /// [`Experiment::run_energy`] through the engine. The energy probe
-    /// consumes the live event stream, so this path live-replays the
-    /// recording with the probe attached at the setup boundary (skipping
-    /// functional execution); attribution and summary are bit-identical
-    /// to the full probed run.
+    /// One inference with the energy probe attached, through the engine.
+    /// The probe consumes the live event stream, so this path live-replays
+    /// the recording with the probe attached at the setup boundary
+    /// (skipping functional execution); attribution and summary are
+    /// bit-identical to the full probed run.
     pub fn run_energy(
         &mut self,
         e: &Experiment,
-        model: &lva_core::EnergyModel,
-    ) -> (RunSummary, lva_core::EnergyAttribution) {
-        if !self.mode.enabled() {
-            self.counters.full_runs += 1;
-            return e.run_energy(model);
-        }
-        if !self.gate_ok() {
-            self.counters.refused_runs += 1;
-            return e.run_energy(model);
+        model: &EnergyModel,
+    ) -> (RunSummary, EnergyAttribution) {
+        let a = self.dispatch(e, Ask::Energy(model));
+        (a.summary.steady, a.energy.expect("an energy request attributes"))
+    }
+
+    /// The one dispatch behind every request (see module docs).
+    fn dispatch(&mut self, e: &Experiment, ask: Ask<'_>) -> Answer {
+        let frames = if let Ask::Stream(frames) = ask { frames } else { 1 };
+        if !self.mode.enabled() || !self.gate_ok() {
+            let path = if self.mode.enabled() {
+                self.counters.refused_runs += 1;
+                "refused"
+            } else {
+                self.counters.full_runs += 1;
+                "full"
+            };
+            let (summary, energy) = match ask {
+                Ask::Energy(model) => {
+                    let (s, att) = e.run_observed(observe::Energy(model), 1);
+                    (s, Some(att))
+                }
+                _ => (e.run_observed((), frames).0, None),
+            };
+            return Answer { summary, energy, path };
         }
         let sk = StreamKey::of(e);
         let ck = ConfigKey::of(e);
-        let fp = mem_fingerprint(e);
-        if self.store.lookup(&sk, &fp, e.refit_geometry()).is_none() {
-            let cap = e.run_traced();
-            self.store.insert_trace(sk.clone(), cap, fp.clone());
-            self.counters.captures += 1;
+        // The run memo holds timings only; an energy request needs the probe.
+        if !matches!(ask, Ask::Energy(_)) {
+            if let Some(summary) = self.store.cached(&sk, frames, &ck) {
+                self.counters.run_memo_hits += 1;
+                self.verify(e, &summary);
+                return Answer { summary, energy: None, path: "run-memo" };
+            }
         }
-        let (cap, _, _) =
-            self.store.lookup(&sk, &fp, e.refit_geometry()).expect("trace just ensured");
-        let (summary, att) = e.retime_energy(&cap, model);
-        self.counters.energy_retimes += 1;
-        self.verify(e, &summary);
-        self.store.store_run(sk, ck, summary.clone());
-        (summary, att)
+        let answer = match ask {
+            Ask::Stream(_) => self.retime_stream(e, &sk, &ck, frames),
+            _ => self.retime_run(e, &sk, &ck, ask),
+        };
+        self.verify(e, &answer.summary);
+        self.store.remember(sk, frames, ck, answer.summary.clone());
+        answer
+    }
+
+    /// The recording tier for single runs: capture on first visit, then a
+    /// memoized tape refit where a tape at this geometry is stored, else a
+    /// live replay recording one. Energy requests always replay live with
+    /// the probe on.
+    fn retime_run(
+        &mut self,
+        e: &Experiment,
+        sk: &StreamKey,
+        ck: &ConfigKey,
+        ask: Ask<'_>,
+    ) -> Answer {
+        let fp = mem_fingerprint(e);
+        let Some((cap, tape, plan)) = self.store.lookup(sk, &fp, e.refit_geometry()) else {
+            let cap = e.run_traced();
+            let summary = cap.summary.clone();
+            self.store.insert_trace(sk.clone(), cap, fp);
+            self.counters.captures += 1;
+            return match ask {
+                // The capture ran without the probe: replay it with the probe on.
+                Ask::Energy(_) => self.retime_run(e, sk, ck, ask),
+                _ => Answer { summary: summary.into(), energy: None, path: "capture" },
+            };
+        };
+        let (summary, energy, path) = match (ask, tape) {
+            (Ask::Energy(model), _) => {
+                let (s, att) = e
+                    .retime(&cap, Source::Live, observe::Energy(model))
+                    .expect("a one-frame live replay takes the energy probe");
+                self.counters.energy_retimes += 1;
+                (s, Some(att), "energy-replay")
+            }
+            (_, Some(tape)) => {
+                let memo = self.store.layer_memo_mut(ck.clone());
+                let source = Source::Tape { tape: &tape, plan: &plan, memo };
+                let (s, ()) = e
+                    .retime(&cap, source, ())
+                    .expect("tape indexed under this geometry fingerprint");
+                self.counters.tape_refits += 1;
+                (s, None, "tape-refit")
+            }
+            (_, None) => {
+                let (s, tape) =
+                    e.retime(&cap, Source::Live, observe::RecordTape).expect("live replay");
+                self.store.add_tape(sk, fp, Arc::new(tape));
+                self.counters.live_replays += 1;
+                (s, None, "live-replay")
+            }
+        };
+        Answer { summary: summary.into(), energy, path }
+    }
+
+    /// The recording tier for streams: capture per (stream, frame count),
+    /// then a memoized refit of the capture tape at its own geometry, else
+    /// a live replay.
+    fn retime_stream(
+        &mut self,
+        e: &Experiment,
+        sk: &StreamKey,
+        ck: &ConfigKey,
+        frames: usize,
+    ) -> Answer {
+        let fp = mem_fingerprint(e);
+        let (summary, path) = match self.store.lookup_stream(sk, frames, e.refit_geometry()) {
+            None => {
+                let (s, (trace, tape)) = e.run_observed(observe::Capture, frames);
+                let cap = Captured { trace, tape, summary: s.clone() };
+                self.store.insert_stream(sk.clone(), frames, cap, fp);
+                self.counters.stream_captures += 1;
+                (s, "capture")
+            }
+            Some((cap, tape_fp, plan)) if tape_fp == fp => {
+                let memo = self.store.layer_memo_mut(ck.clone());
+                let source = Source::Tape { tape: &cap.tape, plan: &plan, memo };
+                let (s, ()) = e.retime(&cap, source, ()).expect("fingerprint-matched stream tape");
+                self.counters.stream_refits += 1;
+                (s, "tape-refit")
+            }
+            Some((cap, _, _)) => {
+                let (s, ()) = e.retime(&cap, Source::Live, ()).expect("live replay");
+                self.counters.stream_live_replays += 1;
+                (s, "live-replay")
+            }
+        };
+        Answer { summary, energy: None, path }
     }
 
     /// Mode `Verify`: run the full simulator and require bit-identity.
-    fn verify(&mut self, e: &Experiment, got: &RunSummary) {
+    fn verify(&mut self, e: &Experiment, got: &StreamSummary) {
         if self.mode != RetimeOpt::Verify {
             return;
         }
-        let full = e.run();
+        let full = e.run_observed((), got.per_frame_cycles.len()).0;
+        assert_eq!(
+            got.per_frame_cycles,
+            full.per_frame_cycles,
+            "retime verify: per-frame cycles diverged at {} ({})",
+            e.hw.describe(),
+            e.workload.describe()
+        );
+        let (got, full) = (&got.steady, &full.steady);
         assert_eq!(
             got.cycles,
             full.cycles,
@@ -292,26 +353,6 @@ impl RetimeEngine {
             (got.l1_miss_rate.to_bits(), got.l2_miss_rate.to_bits()),
             (full.l1_miss_rate.to_bits(), full.l2_miss_rate.to_bits()),
             "retime verify: miss rates diverged at {}",
-            e.hw.describe()
-        );
-        self.counters.verified += 1;
-    }
-
-    fn verify_stream(&mut self, e: &Experiment, frames: usize, got: &StreamSummary) {
-        if self.mode != RetimeOpt::Verify {
-            return;
-        }
-        let full = e.run_stream(frames);
-        assert_eq!(
-            got.per_frame_cycles,
-            full.per_frame_cycles,
-            "retime verify: per-frame cycles diverged at {}",
-            e.hw.describe()
-        );
-        assert_eq!(
-            got.steady.report,
-            full.steady.report,
-            "retime verify: steady report diverged at {}",
             e.hw.describe()
         );
         self.counters.verified += 1;

@@ -20,6 +20,14 @@
 //!    were timed before is applied as a stored state delta (translation
 //!    invariance of the timing automaton; see `lva_isa::refit`).
 //!
+//! What that buys is measured, not assumed. A cold sweep of 18 distinct
+//! design points (the `dse_sweep` workload of `perfbench/`) runs an
+//! estimated ≈1.4–1.8× faster than full simulation, with 0 of 288
+//! layer-memo lookups hitting: distinct configs share no layer timings.
+//! The 68× in `BENCH_sim_wallclock.json` is warm replay only — the same
+//! nine headline specs re-timed after a first pass that missed the memo
+//! 185 times, so its three timed passes hit 555 = 3 × 185 times.
+//!
 //! Soundness is **certificate-gated**: retiming is only taken when every
 //! kernel in the `lva-check` registry holds a valid
 //! [`lva_depgraph::RetimeCertificate`] — the machine-checked proof that

@@ -3,9 +3,9 @@
 //!
 //! Three tiers, cheapest hit first:
 //!
-//! 1. **Run memo** — `(StreamKey, ConfigKey) → RunSummary`. A design
-//!    point asked twice (sweep grids overlap; verification re-runs) is a
-//!    clone.
+//! 1. **Run memo** — `(StreamKey, frames, ConfigKey) → StreamSummary`
+//!    (a run is one frame). A design point asked twice (sweep grids
+//!    overlap; verification re-runs) is a clone.
 //! 2. **Layer memo** — per [`ConfigKey`], the `lva_isa::LayerMemo` of
 //!    layer-region timing effects. Shared across streams at the same
 //!    config (the `MemoKey` folds all stream content the effect depends
@@ -21,7 +21,7 @@
 
 use crate::key::{ConfigKey, StreamKey};
 use lva_core::experiment::{CapturedRun, CapturedStream};
-use lva_core::{RunSummary, StreamSummary};
+use lva_core::StreamSummary;
 use lva_isa::{LayerMemo, ProbeTape, RefitGeometry, RefitPlan};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -78,8 +78,8 @@ pub struct RetimeStore {
     traces: HashMap<StreamKey, TraceEntry>,
     /// Streaming captures, keyed by stream identity × frame count.
     streams: HashMap<(StreamKey, usize), StreamEntry>,
-    run_memo: HashMap<(StreamKey, ConfigKey), RunSummary>,
-    stream_memo: HashMap<(StreamKey, usize, ConfigKey), StreamSummary>,
+    /// Results by stream × measured frame count × config.
+    run_memo: HashMap<(StreamKey, usize, ConfigKey), StreamSummary>,
     layer_memos: HashMap<ConfigKey, LayerMemo>,
     capacity_bytes: usize,
     tick: u64,
@@ -101,7 +101,6 @@ impl RetimeStore {
             traces: HashMap::new(),
             streams: HashMap::new(),
             run_memo: HashMap::new(),
-            stream_memo: HashMap::new(),
             layer_memos: HashMap::new(),
             capacity_bytes,
             tick: 0,
@@ -132,27 +131,15 @@ impl RetimeStore {
 
     // ---- run memo ----------------------------------------------------
 
-    pub fn run_cached(&mut self, sk: &StreamKey, ck: &ConfigKey) -> Option<RunSummary> {
-        let hit = self.run_memo.get(&(sk.clone(), ck.clone())).cloned();
-        if hit.is_some() {
-            self.run_hits += 1;
-        } else {
-            self.run_misses += 1;
-        }
-        hit
-    }
-
-    pub fn store_run(&mut self, sk: StreamKey, ck: ConfigKey, s: RunSummary) {
-        self.run_memo.insert((sk, ck), s);
-    }
-
-    pub fn stream_cached(
+    /// The memoized result of `frames` measured frames at this point (a
+    /// run is one frame).
+    pub fn cached(
         &mut self,
         sk: &StreamKey,
         frames: usize,
         ck: &ConfigKey,
     ) -> Option<StreamSummary> {
-        let hit = self.stream_memo.get(&(sk.clone(), frames, ck.clone())).cloned();
+        let hit = self.run_memo.get(&(sk.clone(), frames, ck.clone())).cloned();
         if hit.is_some() {
             self.run_hits += 1;
         } else {
@@ -161,14 +148,8 @@ impl RetimeStore {
         hit
     }
 
-    pub fn store_stream_run(
-        &mut self,
-        sk: StreamKey,
-        frames: usize,
-        ck: ConfigKey,
-        s: StreamSummary,
-    ) {
-        self.stream_memo.insert((sk, frames, ck), s);
+    pub fn remember(&mut self, sk: StreamKey, frames: usize, ck: ConfigKey, s: StreamSummary) {
+        self.run_memo.insert((sk, frames, ck), s);
     }
 
     // ---- layer memos -------------------------------------------------
@@ -194,14 +175,6 @@ impl RetimeStore {
     }
 
     // ---- recordings --------------------------------------------------
-
-    pub fn has_trace(&self, sk: &StreamKey) -> bool {
-        self.traces.contains_key(sk)
-    }
-
-    pub fn has_stream(&self, sk: &StreamKey, frames: usize) -> bool {
-        self.streams.contains_key(&(sk.clone(), frames))
-    }
 
     /// Insert a fresh capture; its own tape is indexed under `tape_fp`.
     pub fn insert_trace(&mut self, sk: StreamKey, cap: CapturedRun, tape_fp: String) {

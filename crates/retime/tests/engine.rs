@@ -168,7 +168,8 @@ fn retimed_energy_attribution_is_bit_identical() {
     let mut engine = RetimeEngine::with_gate(RetimeOpt::On, CertGate::decided(Ok(())));
     let model = EnergyModel::default();
     let e = exp(HwTarget::RvvGem5 { vlen_bits: 2048, lanes: 8, l2_bytes: 1 << 20 });
-    let (s_full, a_full) = e.run_energy(&model);
+    let (s_full, a_full) = e.run_observed(lva_core::observe::Energy(&model), 1);
+    let s_full = s_full.steady;
     let (s_rt, a_rt) = engine.run_energy(&e, &model);
     assert_eq!(s_rt.cycles, s_full.cycles);
     assert_eq!(s_rt.report, s_full.report);
@@ -191,7 +192,7 @@ fn retimed_streams_match_run_stream() {
     let b = exp(HwTarget::RvvGem5 { vlen_bits: 2048, lanes: 4, l2_bytes: 1 << 20 });
     for e in [&a, &b] {
         let got = engine.run_stream(e, 2);
-        let want = e.run_stream(2);
+        let (want, ()) = e.run_observed((), 2);
         assert_eq!(got.per_frame_cycles, want.per_frame_cycles);
         assert_eq!(got.steady.report, want.steady.report);
     }

@@ -14,7 +14,7 @@
 //!                 steady otherwise
 //! ```
 //!
-//! `cold`/`steady` come from a two-frame `Experiment::run_stream` on the
+//! `cold`/`steady` come from a two-frame `Experiment::run_observed` on the
 //! real simulator, so a tenant switch pays the measured cold-cache penalty
 //! and within-batch frames pay the measured warm cost — the serving tier
 //! is a queueing model *calibrated by* the cycle-approximate machine, not

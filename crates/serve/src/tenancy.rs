@@ -3,7 +3,7 @@
 //!
 //! A [`TenantSpec`] is deployment configuration, not measurement — the
 //! per-tenant execution *costs* come from calibrating the real simulator
-//! (`Experiment::run_stream`) and enter the engine as
+//! (`Experiment::run_observed`) and enter the engine as
 //! [`crate::sim::TenantProfile`]s. Deadlines are expressed relative to the
 //! tenant's own steady-state service time on a reference design point, so
 //! one mix definition scales coherently across `--div` settings and

@@ -238,7 +238,7 @@ fn cmd_run(cli: &Cli) {
     let e = Experiment::new(hw, policy(cli), workload);
     println!("workload : {}\n", workload.describe());
     if cli.frames > 1 {
-        let s = e.run_stream(cli.frames);
+        let (s, ()) = e.run_observed((), cli.frames);
         for (i, c) in s.per_frame_cycles.iter().enumerate() {
             println!("frame {i}: {} cycles", fmt_cycles(*c));
         }
