@@ -16,7 +16,10 @@
 use lva_core::experiment::fmt_bytes;
 use lva_core::{parallel_map, EnergyModel};
 
-use crate::{fmt_cycles, ConvPolicy, Experiment, GemmVariant, HwTarget, Json, ModelId, Workload};
+use crate::{
+    fmt_cycles, get_f64, get_str, ConvPolicy, Experiment, GemmVariant, HwTarget, Json, ModelId,
+    Workload,
+};
 
 /// The vector lengths of the energy grid (short / paper-sweet-spot / long;
 /// the full six-point RVV sweep triples runtime for no extra insight on the
@@ -225,14 +228,6 @@ pub fn energy_grid_json(
                 .collect(),
         ),
     )
-}
-
-fn get_str<'a>(j: &'a Json, key: &str) -> &'a str {
-    j.get(key).and_then(Json::as_str).unwrap_or("?")
-}
-
-fn get_f64(j: &Json, key: &str) -> f64 {
-    j.get(key).and_then(Json::as_f64).unwrap_or(0.0)
 }
 
 /// Render `results/PARETO.md` from a parsed `BENCH_energy.json`. Pure

@@ -80,6 +80,22 @@ pub fn headline_specs(div: usize, layers: Option<usize>) -> Vec<(String, Experim
     .collect()
 }
 
+/// A report field as a string, `"?"` when absent (the markdown renderers'
+/// lenient getters).
+pub(crate) fn get_str<'a>(j: &'a Json, key: &str) -> &'a str {
+    j.get(key).and_then(Json::as_str).unwrap_or("?")
+}
+
+/// A report field as a number, `0.0` when absent.
+pub(crate) fn get_f64(j: &Json, key: &str) -> f64 {
+    j.get(key).and_then(Json::as_f64).unwrap_or(0.0)
+}
+
+/// A report field as an unsigned integer, `0` when absent.
+pub(crate) fn get_u64(j: &Json, key: &str) -> u64 {
+    j.get(key).and_then(Json::as_u64).unwrap_or(0)
+}
+
 /// Write a JSON value under `results/<name>.json` (pretty-printed).
 pub fn save_json(j: &Json, name: &str) -> std::io::Result<std::path::PathBuf> {
     let dir = std::path::Path::new("results");

@@ -16,7 +16,8 @@
 //! lever — more shared L2, the other sharding, or fewer cores.
 //!
 //! Invariants carried by the record (each pinned by a test and gated in CI
-//! via `bench-diff --kind scaling`):
+//! via `bench-diff`, which autodetects the scaling kind from the record's
+//! `"bench"` tag):
 //!
 //! * the 1-core batch row is **bit-identical** to the single-core
 //!   simulator — its cycles-per-frame equals the embedded `RunReport`'s
@@ -32,7 +33,8 @@ use lva_scale::{run_soc_captured, Sharding, SocConfig, SocResult};
 use lva_whatif::{advise, find_knee, scaling_efficiency, ScaleCell, SCALING_KNEE_EFFICIENCY};
 
 use crate::{
-    scaled_input, ConvPolicy, Experiment, GemmVariant, HwTarget, Json, ModelId, RunReport, Workload,
+    get_f64, get_str, get_u64, scaled_input, ConvPolicy, Experiment, GemmVariant, HwTarget, Json,
+    ModelId, RunReport, Workload,
 };
 
 /// The core-count ladder every curve is swept over. Pipeline cells where
@@ -409,18 +411,6 @@ pub fn scaling_chrome_trace(div: usize, layers: Option<usize>) -> crate::ChromeT
     t.note("network", &nets[0].0);
     t.note("point", &points[0].0);
     t
-}
-
-fn get_str<'a>(j: &'a Json, key: &str) -> &'a str {
-    j.get(key).and_then(Json::as_str).unwrap_or("?")
-}
-
-fn get_f64(j: &Json, key: &str) -> f64 {
-    j.get(key).and_then(Json::as_f64).unwrap_or(0.0)
-}
-
-fn get_u64(j: &Json, key: &str) -> u64 {
-    j.get(key).and_then(Json::as_u64).unwrap_or(0)
 }
 
 /// Render `results/SCALING.md` from a parsed `BENCH_scaling.json`. Pure

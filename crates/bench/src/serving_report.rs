@@ -43,8 +43,8 @@ use lva_serve::{
 use lva_whatif::{design_cost, recommend, ServingPoint};
 
 use crate::{
-    scaled_input, ChromeTrace, ConvPolicy, Experiment, GemmVariant, HwTarget, Json, RunReport,
-    Workload,
+    get_f64, get_str, get_u64, scaled_input, ChromeTrace, ConvPolicy, Experiment, GemmVariant,
+    HwTarget, Json, RunReport, Workload,
 };
 
 /// Offered load as a fraction of the reference point's steady-state
@@ -374,18 +374,6 @@ pub fn knee_chrome_trace(div: usize, layers: Option<usize>, jobs: usize) -> Chro
     t.note("point", &reference_point[0].0);
     t.note("intensity", &format!("{}", SERVING_INTENSITIES[knee_idx]));
     t
-}
-
-fn get_str<'a>(j: &'a Json, key: &str) -> &'a str {
-    j.get(key).and_then(Json::as_str).unwrap_or("?")
-}
-
-fn get_f64(j: &Json, key: &str) -> f64 {
-    j.get(key).and_then(Json::as_f64).unwrap_or(0.0)
-}
-
-fn get_u64(j: &Json, key: &str) -> u64 {
-    j.get(key).and_then(Json::as_u64).unwrap_or(0)
 }
 
 /// Render `results/SERVING.md` from a parsed `BENCH_serving.json`. Pure

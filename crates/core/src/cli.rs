@@ -232,14 +232,21 @@ mod tests {
 
     #[test]
     fn well_formed_flags_parse() {
-        let argv = ["--div", "8", "--layers", "6", "--jobs", "2", "--no-csv", "--retime=verify"];
+        let argv: Vec<&str> =
+            "--div 8 --layers 6 --jobs 2 --no-csv --retime=verify --with-whatif --with-energy"
+                .split(' ')
+                .collect();
         let Ok(Parsed::Run { opts, trace }) = parse(&argv) else { panic!("valid argv") };
         assert_eq!((opts.div, opts.layers, opts.jobs), (8, Some(6), 2));
         assert!(!opts.csv);
         assert_eq!(opts.retime, RetimeOpt::Verify);
+        assert_eq!((opts.whatif, opts.energy), (true, true));
         assert_eq!(trace, None);
-        let Ok(Parsed::Run { trace, .. }) = parse(&["--trace", "t.jsonl"]) else { panic!() };
+        let Ok(Parsed::Run { opts, trace }) = parse(&["--trace", "t.jsonl"]) else { panic!() };
         assert_eq!(trace.as_deref(), Some("t.jsonl"));
+        assert_eq!((opts.whatif, opts.energy), (false, false), "both analyses are opt-in");
+        let Ok(Parsed::Run { opts, .. }) = parse(&["--with-energy"]) else { panic!() };
+        assert_eq!((opts.whatif, opts.energy), (false, true));
         assert!(matches!(parse(&["--help"]), Ok(Parsed::Help)));
     }
 }
