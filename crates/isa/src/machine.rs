@@ -317,7 +317,8 @@ impl Machine {
     /// Stop capturing and return the semantic trace plus the probe tape
     /// (with the final segment closed). `None` if no capture was active.
     pub fn finish_capture(&mut self) -> Option<(ReplayTrace, ProbeTape)> {
-        let trace = self.rlog.take()?;
+        let mut trace = self.rlog.take()?;
+        trace.shrink_to_fit();
         let tape = self.take_probe_tape().expect("capture always records a tape");
         Some((trace, tape))
     }
@@ -335,6 +336,7 @@ impl Machine {
     pub fn take_probe_tape(&mut self) -> Option<ProbeTape> {
         let mut rec = self.tape_rec.take()?;
         rec.end_segment(self.sys.stats());
+        rec.tape.shrink_to_fit();
         Some(rec.tape)
     }
 
@@ -358,6 +360,15 @@ impl Machine {
     fn rlog(&mut self, f: impl FnOnce() -> ReplayOp) {
         if let Some(log) = self.rlog.as_mut() {
             log.ops.push(f());
+        }
+    }
+
+    /// Record through one of the trace's `push_*` recorders if capturing
+    /// (for ops with pooled operands).
+    #[inline]
+    fn rlog_with(&mut self, f: impl FnOnce(&mut ReplayTrace)) {
+        if let Some(log) = self.rlog.as_mut() {
+            f(log);
         }
     }
 
@@ -484,10 +495,7 @@ impl Machine {
     /// each layer's kernels): forwards the boundary to the address-stream
     /// tap and the replay log.
     pub fn layer_begin(&mut self, index: usize, desc: &str) {
-        if let Some(log) = self.rlog.as_mut() {
-            let d = log.push_desc(desc);
-            log.ops.push(ReplayOp::LayerBegin { index: index as u32, desc: d });
-        }
+        self.rlog_with(|log| log.push_layer(index, desc));
         self.sys.tap_scope(TapScope::LayerBegin { index, desc });
     }
 
@@ -863,10 +871,7 @@ impl Machine {
     /// SVE `whilelt`: predicate for lanes `i..n`.
     #[inline]
     pub fn whilelt(&mut self, i: usize, n: usize) -> Pred {
-        self.rlog(|| ReplayOp::Whilelt {
-            i: r32(i as u64, "whilelt i"),
-            n: r32(n as u64, "whilelt n"),
-        });
+        self.rlog_with(|log| log.push_whilelt(i as u64, n as u64));
         self.tl_whilelt(i, n)
     }
 
@@ -978,12 +983,7 @@ impl Machine {
         }
         let hi = addr + (vl as u64 - 1) * stride_bytes + 4;
         self.check_vec("vlse", addr, hi, vl);
-        self.rlog(|| ReplayOp::VLoadStrided {
-            vd: vd as u8,
-            vl: vl as u16,
-            addr: r32(addr, "vlse addr"),
-            stride: r32(stride_bytes, "vlse stride"),
-        });
+        self.rlog_with(|log| log.push_strided(false, vd, vl, addr, stride_bytes));
         let n = self.vlen_elems;
         if self.ref_model || !stride_bytes.is_multiple_of(4) {
             for i in 0..vl {
@@ -1024,12 +1024,7 @@ impl Machine {
         }
         let hi = addr + (vl as u64 - 1) * stride_bytes + 4;
         self.check_vec("vsse", addr, hi, vl);
-        self.rlog(|| ReplayOp::VStoreStrided {
-            vs: vs as u8,
-            vl: vl as u16,
-            addr: r32(addr, "vsse addr"),
-            stride: r32(stride_bytes, "vsse stride"),
-        });
+        self.rlog_with(|log| log.push_strided(true, vs, vl, addr, stride_bytes));
         let n = self.vlen_elems;
         if self.ref_model || !stride_bytes.is_multiple_of(4) || stride_bytes == 0 {
             // Per-element reference path; also the stride-0 case, where
@@ -1178,7 +1173,7 @@ impl Machine {
         if let Some((lo, hi)) = range {
             self.check_vec("vgather", lo, hi, vl);
         }
-        self.rlog_indexed(IndexedOp::Gather, vd, base, &idx[..vl]);
+        self.rlog_with(|log| log.push_indexed(IndexedOp::Gather, vd, base, &idx[..vl]));
         self.gather_elems(vd, base, &idx[..vl], range);
         self.tl_indexed(IndexedOp::Gather, vd, base, &idx[..vl]);
     }
@@ -1196,7 +1191,7 @@ impl Machine {
         if let Some((lo, hi)) = range {
             self.check_vec("vscatter", lo, hi, vl);
         }
-        self.rlog_indexed(IndexedOp::Scatter, vs, base, &idx[..vl]);
+        self.rlog_with(|log| log.push_indexed(IndexedOp::Scatter, vs, base, &idx[..vl]));
         self.scatter_elems(vs, base, &idx[..vl], range);
         self.tl_indexed(IndexedOp::Scatter, vs, base, &idx[..vl]);
     }
@@ -1218,7 +1213,7 @@ impl Machine {
         if let Some((lo, hi)) = range {
             self.check_vec("vgather4", lo, hi, vl);
         }
-        self.rlog_indexed(IndexedOp::Gather4, vd, base, &idx[..vl]);
+        self.rlog_with(|log| log.push_indexed(IndexedOp::Gather4, vd, base, &idx[..vl]));
         self.gather_elems(vd, base, &idx[..vl], range);
         self.tl_indexed(IndexedOp::Gather4, vd, base, &idx[..vl]);
     }
@@ -1235,7 +1230,7 @@ impl Machine {
         if let Some((lo, hi)) = range {
             self.check_vec("vscatter4", lo, hi, vl);
         }
-        self.rlog_indexed(IndexedOp::Scatter4, vs, base, &idx[..vl]);
+        self.rlog_with(|log| log.push_indexed(IndexedOp::Scatter4, vs, base, &idx[..vl]));
         self.scatter_elems(vs, base, &idx[..vl], range);
         self.tl_indexed(IndexedOp::Scatter4, vs, base, &idx[..vl]);
     }
@@ -1373,20 +1368,6 @@ impl Machine {
         self.next_occ_mem = exposed;
         self.next_occ_cont = cont;
         (occ, lat)
-    }
-
-    /// Append a [`ReplayOp::VIndexed`] with the lane indices copied into the
-    /// trace's shared pool (no-op unless capturing).
-    fn rlog_indexed(&mut self, op: IndexedOp, reg: VReg, base: u64, idx: &[u32]) {
-        if let Some(log) = self.rlog.as_mut() {
-            let range = log.push_idx(idx);
-            log.ops.push(ReplayOp::VIndexed {
-                op,
-                reg: reg as u8,
-                base: r32(base, "indexed base"),
-                idx: range,
-            });
-        }
     }
 
     /// Timing half of the four indexed ops (shared with the replay
@@ -1840,11 +1821,8 @@ impl Machine {
         if words == 0 {
             return;
         }
-        self.rlog(|| ReplayOp::ScalarStream {
-            addr: r32(addr, "scalar_stream addr"),
-            words: r32(words as u64, "scalar_stream words"),
-            write: matches!(kind, AccessKind::Write),
-        });
+        let write = matches!(kind, AccessKind::Write);
+        self.rlog_with(|log| log.push_stream(addr, words as u64, write));
         self.tl_scalar_stream(addr, words, kind);
     }
 
@@ -1963,37 +1941,6 @@ impl Machine {
         };
         cur.i += 1;
         match op {
-            ReplayOp::Setvl { rvl } => {
-                self.tl_setvl(rvl as usize);
-            }
-            ReplayOp::Whilelt { i, n } => {
-                self.tl_whilelt(i as usize, n as usize);
-            }
-            ReplayOp::VLoad { vd, vl, addr } => self.tl_vle(vd as VReg, addr as u64, vl as usize),
-            ReplayOp::VStore { vs, vl, addr } => self.tl_vse(vs as VReg, addr as u64, vl as usize),
-            ReplayOp::VLoadStrided { vd, vl, addr, stride } => {
-                self.tl_vlse(vd as VReg, addr as u64, stride as u64, vl as usize);
-            }
-            ReplayOp::VStoreStrided { vs, vl, addr, stride } => {
-                self.tl_vsse(vs as VReg, addr as u64, stride as u64, vl as usize);
-            }
-            ReplayOp::VIndexed { op, reg, base, idx } => {
-                let lanes = &trace.idx_pool[idx.off as usize..(idx.off + idx.len) as usize];
-                self.tl_indexed(op, reg as VReg, base as u64, lanes);
-            }
-            ReplayOp::VArith { op, vd, a, b, vl } => {
-                self.tl_varith(op, vd as VReg, a as VReg, b as VReg, vl as usize);
-            }
-            ReplayOp::Reduce { op, vs, vl } => self.tl_reduce(op, vs as VReg, vl as usize),
-            ReplayOp::Prefetch { addr, target } => self.tl_prefetch(addr as u64, target),
-            ReplayOp::ScalarOps { n } => self.scalar_ops_tl(n as u64),
-            ReplayOp::ScalarFlops { n } => self.scalar_flops_tl(n as u64),
-            ReplayOp::ScalarRead { addr } => self.tl_scalar_mem(addr as u64, AccessKind::Read),
-            ReplayOp::ScalarWrite { addr } => self.tl_scalar_mem(addr as u64, AccessKind::Write),
-            ReplayOp::ScalarStream { addr, words, write } => {
-                let kind = if write { AccessKind::Write } else { AccessKind::Read };
-                self.tl_scalar_stream(addr as u64, words as usize, kind);
-            }
             ReplayOp::PhaseBegin { phase } => {
                 let t0 = self.cycles();
                 self.tl_phase_begin(phase);
@@ -2012,12 +1959,63 @@ impl Machine {
                 });
             }
             ReplayOp::LayerEnd => self.sys.tap_scope(TapScope::LayerEnd),
-            ReplayOp::Spill => self.stats.spills += 1,
             ReplayOp::ResetTiming => {
                 panic!("replay_step: ResetTiming inside a cursor range — slice at boundaries")
             }
+            _ => self.exec_op(trace, op),
         }
         true
+    }
+
+    /// Run one non-boundary recorded op through its `tl_*` timing function —
+    /// the per-op core shared by [`Self::replay_step`] and the batch
+    /// executor. Phase, layer and segment ops carry caller-owned bookkeeping
+    /// and never reach here.
+    #[inline]
+    fn exec_op(&mut self, trace: &ReplayTrace, op: ReplayOp) {
+        match op {
+            ReplayOp::Setvl { rvl } => {
+                self.tl_setvl(rvl as usize);
+            }
+            ReplayOp::Whilelt { at } => {
+                let (i, n) = trace.whilelt(at);
+                self.tl_whilelt(i as usize, n as usize);
+            }
+            ReplayOp::VLoad { vd, vl, addr } => self.tl_vle(vd as VReg, addr as u64, vl as usize),
+            ReplayOp::VStore { vs, vl, addr } => self.tl_vse(vs as VReg, addr as u64, vl as usize),
+            ReplayOp::VLoadStrided { vd, vl, at } => {
+                let (addr, stride) = trace.strided(at);
+                self.tl_vlse(vd as VReg, addr as u64, stride as u64, vl as usize);
+            }
+            ReplayOp::VStoreStrided { vs, vl, at } => {
+                let (addr, stride) = trace.strided(at);
+                self.tl_vsse(vs as VReg, addr as u64, stride as u64, vl as usize);
+            }
+            ReplayOp::VIndexed { op, reg, at } => {
+                let (base, lanes) = trace.indexed(at);
+                self.tl_indexed(op, reg as VReg, base as u64, lanes);
+            }
+            ReplayOp::VArith { op, vd, a, b, vl } => {
+                self.tl_varith(op, vd as VReg, a as VReg, b as VReg, vl as usize);
+            }
+            ReplayOp::Reduce { op, vs, vl } => self.tl_reduce(op, vs as VReg, vl as usize),
+            ReplayOp::Prefetch { addr, target } => self.tl_prefetch(addr as u64, target),
+            ReplayOp::ScalarOps { n } => self.scalar_ops_tl(n as u64),
+            ReplayOp::ScalarFlops { n } => self.scalar_flops_tl(n as u64),
+            ReplayOp::ScalarRead { addr } => self.tl_scalar_mem(addr as u64, AccessKind::Read),
+            ReplayOp::ScalarWrite { addr } => self.tl_scalar_mem(addr as u64, AccessKind::Write),
+            ReplayOp::ScalarStream { write, at } => {
+                let (addr, words) = trace.stream(at);
+                let kind = if write { AccessKind::Write } else { AccessKind::Read };
+                self.tl_scalar_stream(addr as u64, words as usize, kind);
+            }
+            ReplayOp::Spill => self.stats.spills += 1,
+            ReplayOp::PhaseBegin { .. }
+            | ReplayOp::PhaseEnd { .. }
+            | ReplayOp::LayerBegin { .. }
+            | ReplayOp::LayerEnd
+            | ReplayOp::ResetTiming => unreachable!("exec_op: boundary op {op:?}"),
+        }
     }
 
     /// Advance the front-end clock to at least `t` without doing work: an
@@ -2065,53 +2063,6 @@ impl Machine {
         let mut i = start;
         while i < ops.len() {
             match ops[i] {
-                ReplayOp::Setvl { rvl } => {
-                    self.tl_setvl(rvl as usize);
-                }
-                ReplayOp::Whilelt { i, n } => {
-                    self.tl_whilelt(i as usize, n as usize);
-                }
-                ReplayOp::VLoad { vd, vl, addr } => {
-                    self.tl_vle(vd as VReg, addr as u64, vl as usize);
-                }
-                ReplayOp::VStore { vs, vl, addr } => {
-                    self.tl_vse(vs as VReg, addr as u64, vl as usize);
-                }
-                ReplayOp::VLoadStrided { vd, vl, addr, stride } => {
-                    self.tl_vlse(vd as VReg, addr as u64, stride as u64, vl as usize);
-                }
-                ReplayOp::VStoreStrided { vs, vl, addr, stride } => {
-                    self.tl_vsse(vs as VReg, addr as u64, stride as u64, vl as usize);
-                }
-                ReplayOp::VIndexed { op, reg, base, idx } => {
-                    let lanes = &trace.idx_pool[idx.off as usize..(idx.off + idx.len) as usize];
-                    self.tl_indexed(op, reg as VReg, base as u64, lanes);
-                }
-                ReplayOp::VArith { op, vd, a, b, vl } => {
-                    self.tl_varith(op, vd as VReg, a as VReg, b as VReg, vl as usize);
-                }
-                ReplayOp::Reduce { op, vs, vl } => {
-                    self.tl_reduce(op, vs as VReg, vl as usize);
-                }
-                ReplayOp::Prefetch { addr, target } => {
-                    self.tl_prefetch(addr as u64, target);
-                }
-                ReplayOp::ScalarOps { n } => {
-                    self.scalar_ops_tl(n as u64);
-                }
-                ReplayOp::ScalarFlops { n } => {
-                    self.scalar_flops_tl(n as u64);
-                }
-                ReplayOp::ScalarRead { addr } => {
-                    self.tl_scalar_mem(addr as u64, AccessKind::Read);
-                }
-                ReplayOp::ScalarWrite { addr } => {
-                    self.tl_scalar_mem(addr as u64, AccessKind::Write);
-                }
-                ReplayOp::ScalarStream { addr, words, write } => {
-                    let kind = if write { AccessKind::Write } else { AccessKind::Read };
-                    self.tl_scalar_stream(addr as u64, words as usize, kind);
-                }
                 ReplayOp::PhaseBegin { phase } => {
                     let t0 = self.cycles();
                     self.tl_phase_begin(phase);
@@ -2210,9 +2161,6 @@ impl Machine {
                         d_elems: self.stats.active_elems - elems0,
                     });
                 }
-                ReplayOp::Spill => {
-                    self.stats.spills += 1;
-                }
                 ReplayOp::ResetTiming => {
                     segments.push(self.segment_snapshot(std::mem::take(&mut layers)));
                     if let Some(tp) = self.tape_play.as_mut() {
@@ -2223,6 +2171,7 @@ impl Machine {
                         return (segments, i + 1);
                     }
                 }
+                op => self.exec_op(trace, op),
             }
             i += 1;
         }

@@ -133,14 +133,14 @@ pub struct RefitPlan {
 
 /// Probe count of one op at the given geometry — must match exactly what the
 /// machine's timing functions consume during a (non-reference-model) replay.
-fn op_probes(op: &ReplayOp, pool: &[u32], lb: u64) -> u64 {
+fn op_probes(op: &ReplayOp, trace: &ReplayTrace, lb: u64) -> u64 {
     match *op {
         ReplayOp::VLoad { vl, addr, .. } | ReplayOp::VStore { vl, addr, .. } => {
             let (addr, vl) = (addr as u64, vl as u64);
             (addr + 4 * vl - 1) / lb - addr / lb + 1
         }
-        ReplayOp::VLoadStrided { vl, addr, stride, .. }
-        | ReplayOp::VStoreStrided { vl, addr, stride, .. } => {
+        ReplayOp::VLoadStrided { vl, at, .. } | ReplayOp::VStoreStrided { vl, at, .. } => {
+            let (addr, stride) = trace.strided(at);
             let (addr, vl, stride) = (addr as u64, vl as u64, stride as u64);
             if stride == 0 {
                 1
@@ -152,10 +152,10 @@ fn op_probes(op: &ReplayOp, pool: &[u32], lb: u64) -> u64 {
                 vl
             }
         }
-        ReplayOp::VIndexed { base, idx, .. } => {
+        ReplayOp::VIndexed { at, .. } => {
             // Consecutive-duplicate line dedup over active lanes (identical
             // for the element-wise and grouped cost paths).
-            let lanes = &pool[idx.off as usize..(idx.off + idx.len) as usize];
+            let (base, lanes) = trace.indexed(at);
             let mut last_line = u64::MAX;
             let mut probes = 0;
             for &ix in lanes {
@@ -171,7 +171,8 @@ fn op_probes(op: &ReplayOp, pool: &[u32], lb: u64) -> u64 {
             probes
         }
         ReplayOp::ScalarRead { .. } | ReplayOp::ScalarWrite { .. } => 1,
-        ReplayOp::ScalarStream { addr, words, .. } => {
+        ReplayOp::ScalarStream { at, .. } => {
+            let (addr, words) = trace.stream(at);
             let (addr, words) = (addr as u64, words as u64);
             (addr + 4 * words - 1) / lb - addr / lb + 1
         }
@@ -187,7 +188,7 @@ fn op_probes(op: &ReplayOp, pool: &[u32], lb: u64) -> u64 {
 /// and vector access addresses on non-prefetching geometries (only the line
 /// count matters). That address-blindness is what lets structurally
 /// identical layers working on different buffers share one memo entry.
-fn fold_op(f: &mut Fold128, op: &ReplayOp, pool: &[u32], g: RefitGeometry) {
+fn fold_op(f: &mut Fold128, op: &ReplayOp, trace: &ReplayTrace, g: RefitGeometry) {
     let lb = g.line_bytes;
     match *op {
         // Timing charge is one scalar-op unit; arguments only affect the
@@ -196,7 +197,7 @@ fn fold_op(f: &mut Fold128, op: &ReplayOp, pool: &[u32], g: RefitGeometry) {
         ReplayOp::Whilelt { .. } => f.push(2),
         ReplayOp::VLoad { vd, vl, addr } => {
             f.push(3 | (vd as u64) << 8 | (vl as u64) << 16);
-            f.push(op_probes(op, pool, lb));
+            f.push(op_probes(op, trace, lb));
             if g.hw_prefetch {
                 // Miss adjacency reads absolute line numbers.
                 f.push(addr as u64 / lb);
@@ -204,7 +205,7 @@ fn fold_op(f: &mut Fold128, op: &ReplayOp, pool: &[u32], g: RefitGeometry) {
         }
         ReplayOp::VStore { vs, vl, addr } => {
             f.push(4 | (vs as u64) << 8 | (vl as u64) << 16);
-            f.push(op_probes(op, pool, lb));
+            f.push(op_probes(op, trace, lb));
             if g.hw_prefetch {
                 f.push(addr as u64 / lb);
             }
@@ -213,16 +214,16 @@ fn fold_op(f: &mut Fold128, op: &ReplayOp, pool: &[u32], g: RefitGeometry) {
         // probe count and occupancy inputs are all that matters.
         ReplayOp::VLoadStrided { vd, vl, .. } => {
             f.push(5 | (vd as u64) << 8 | (vl as u64) << 16);
-            f.push(op_probes(op, pool, lb));
+            f.push(op_probes(op, trace, lb));
         }
         ReplayOp::VStoreStrided { vs, vl, .. } => {
             f.push(6 | (vs as u64) << 8 | (vl as u64) << 16);
-            f.push(op_probes(op, pool, lb));
+            f.push(op_probes(op, trace, lb));
         }
-        ReplayOp::VIndexed { op: iop, reg, base, idx } => {
+        ReplayOp::VIndexed { op: iop, reg, at } => {
             let grouped = matches!(iop, IndexedOp::Gather4 | IndexedOp::Scatter4);
-            f.push(7 | (iop as u64) << 4 | (reg as u64) << 8 | (idx.len as u64) << 16);
-            let lanes = &pool[idx.off as usize..(idx.off + idx.len) as usize];
+            let (base, lanes) = trace.indexed(at);
+            f.push(7 | (iop as u64) << 4 | (reg as u64) << 8 | (lanes.len() as u64) << 16);
             let mut active = 0u64;
             for &ix in lanes {
                 if ix != u32::MAX {
@@ -234,7 +235,7 @@ fn fold_op(f: &mut Fold128, op: &ReplayOp, pool: &[u32], g: RefitGeometry) {
                 }
             }
             f.push(active);
-            f.push(op_probes(op, pool, lb));
+            f.push(op_probes(op, trace, lb));
         }
         ReplayOp::VArith { op, vd, a, b, vl } => {
             f.push(
@@ -258,7 +259,7 @@ fn fold_op(f: &mut Fold128, op: &ReplayOp, pool: &[u32], g: RefitGeometry) {
         ReplayOp::ScalarWrite { .. } => f.push(14),
         ReplayOp::ScalarStream { write, .. } => {
             f.push(15 | (write as u64) << 8);
-            f.push(op_probes(op, pool, lb));
+            f.push(op_probes(op, trace, lb));
         }
         ReplayOp::PhaseBegin { phase } => f.push(16 | (phase as u64) << 8),
         ReplayOp::PhaseEnd { phase } => f.push(17 | (phase as u64) << 8),
@@ -322,8 +323,8 @@ impl RefitPlan {
                             }
                             _ => {}
                         }
-                        o.probes += op_probes(op, &trace.idx_pool, geometry.line_bytes);
-                        fold_op(&mut o.f, op, &trace.idx_pool, geometry);
+                        o.probes += op_probes(op, trace, geometry.line_bytes);
+                        fold_op(&mut o.f, op, trace, geometry);
                     }
                 }
             }
@@ -480,37 +481,34 @@ mod tests {
     fn vle_probe_count_matches_line_walk() {
         // 256-byte lines: a 16-element (64-byte) load crossing a boundary.
         let op = ReplayOp::VLoad { vd: 0, vl: 16, addr: 240 };
-        assert_eq!(op_probes(&op, &[], 256), 2);
+        let none = ReplayTrace::default();
+        assert_eq!(op_probes(&op, &none, 256), 2);
         let aligned = ReplayOp::VLoad { vd: 0, vl: 16, addr: 256 };
-        assert_eq!(op_probes(&aligned, &[], 256), 1);
+        assert_eq!(op_probes(&aligned, &none, 256), 1);
     }
 
     #[test]
     fn strided_probe_count_cases() {
+        let probes = |stride| {
+            let mut t = ReplayTrace::default();
+            t.push_strided(false, 0, 8, 0, stride);
+            op_probes(&t.ops[0], &t, 64)
+        };
         // stride 0: one probe.
-        assert_eq!(
-            op_probes(&ReplayOp::VLoadStrided { vd: 0, vl: 8, addr: 0, stride: 0 }, &[], 64),
-            1
-        );
+        assert_eq!(probes(0), 1);
         // sub-line stride: every line between first and last.
-        assert_eq!(
-            op_probes(&ReplayOp::VLoadStrided { vd: 0, vl: 8, addr: 0, stride: 16 }, &[], 64),
-            2
-        );
+        assert_eq!(probes(16), 2);
         // line-or-larger stride: one probe per element.
-        assert_eq!(
-            op_probes(&ReplayOp::VLoadStrided { vd: 0, vl: 8, addr: 0, stride: 64 }, &[], 64),
-            8
-        );
+        assert_eq!(probes(64), 8);
     }
 
     #[test]
     fn scalar_addresses_are_not_in_the_signature() {
         let g = RefitGeometry { line_bytes: 256, hw_prefetch: false };
         let mut a = Fold128::new(0);
-        fold_op(&mut a, &ReplayOp::ScalarRead { addr: 100 }, &[], g);
+        fold_op(&mut a, &ReplayOp::ScalarRead { addr: 100 }, &ReplayTrace::default(), g);
         let mut b = Fold128::new(0);
-        fold_op(&mut b, &ReplayOp::ScalarRead { addr: 2000 }, &[], g);
+        fold_op(&mut b, &ReplayOp::ScalarRead { addr: 2000 }, &ReplayTrace::default(), g);
         assert_eq!(a.finish(), b.finish());
     }
 
@@ -522,7 +520,7 @@ mod tests {
         let y = ReplayOp::VLoad { vd: 1, vl: 16, addr: 1 << 20 };
         let sig = |op: &ReplayOp, g| {
             let mut f = Fold128::new(0);
-            fold_op(&mut f, op, &[], g);
+            fold_op(&mut f, op, &ReplayTrace::default(), g);
             f.finish()
         };
         // Same line count, different lines: equal without a prefetcher,

@@ -170,35 +170,40 @@ pub enum IndexedOp {
     Scatter4,
 }
 
-/// A slice of the trace's shared `u32` index pool (`off..off + len`),
-/// holding an indexed op's lane indices verbatim — including `u32::MAX`
-/// inactive-lane sentinels, in original lane order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolRange {
-    /// Start offset into [`ReplayTrace::idx_pool`].
-    pub off: u32,
-    /// Number of lanes (the op's `vl`).
-    pub len: u32,
-}
-
-/// One recorded semantic operation. 16 bytes; addresses are stored as `u32`
-/// (the simulated arena is far below 4 GiB — recording asserts it).
+/// One recorded semantic operation, exactly 8 bytes: a one-byte tag plus at
+/// most 7 bytes of operands, laid out by rustc as `tag + u8 + u16 + u32`.
+///
+/// **Inline operands.** Register numbers are `u8` and vector lengths `u16`.
+/// These casts are lossless because `MachineConfig` validation caps VLEN at
+/// 16384 bits (512 single-precision lanes) and the register file has 32
+/// registers. Addresses, counts and pool offsets are `u32`; the simulated
+/// arena is far below 4 GiB and recording checks every conversion,
+/// panicking rather than truncating. Layer indices are `u16`, also checked.
+///
+/// **Pooled operands.** An op whose operands need more than 7 bytes keeps
+/// only a `u32` offset `at` into [`ReplayTrace::pool`], where the wide
+/// operands sit as consecutive `u32` words. Only [`ReplayTrace`]'s
+/// `push_*` recorders write them and its accessors
+/// ([`ReplayTrace::whilelt`], [`ReplayTrace::strided`],
+/// [`ReplayTrace::indexed`], [`ReplayTrace::stream`]) read them, so no
+/// consumer does offset arithmetic.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReplayOp {
     /// `setvl(rvl)`.
     Setvl { rvl: u32 },
-    /// `whilelt(i, n)`.
-    Whilelt { i: u32, n: u32 },
+    /// `whilelt(i, n)`; `i`, `n` pooled.
+    Whilelt { at: u32 },
     /// `vle(vd, addr, vl)`.
     VLoad { vd: u8, vl: u16, addr: u32 },
     /// `vse(vs, addr, vl)`.
     VStore { vs: u8, vl: u16, addr: u32 },
-    /// `vlse(vd, addr, stride, vl)`.
-    VLoadStrided { vd: u8, vl: u16, addr: u32, stride: u32 },
-    /// `vsse(vs, addr, stride, vl)`.
-    VStoreStrided { vs: u8, vl: u16, addr: u32, stride: u32 },
-    /// `vgather`/`vscatter`/`vgather4`/`vscatter4` with indices in the pool.
-    VIndexed { op: IndexedOp, reg: u8, base: u32, idx: PoolRange },
+    /// `vlse(vd, addr, stride, vl)`; `addr`, `stride` pooled.
+    VLoadStrided { vd: u8, vl: u16, at: u32 },
+    /// `vsse(vs, addr, stride, vl)`; `addr`, `stride` pooled.
+    VStoreStrided { vs: u8, vl: u16, at: u32 },
+    /// `vgather`/`vscatter`/`vgather4`/`vscatter4`; the base address, the
+    /// lane count and the lane indices are pooled.
+    VIndexed { op: IndexedOp, reg: u8, at: u32 },
     /// Any vector arithmetic op (see [`VArithOp`]).
     VArith { op: VArithOp, vd: u8, a: u8, b: u8, vl: u16 },
     /// `vfredsum`/`vfredmax`.
@@ -213,14 +218,14 @@ pub enum ReplayOp {
     ScalarRead { addr: u32 },
     /// `scalar_write(addr, _)`.
     ScalarWrite { addr: u32 },
-    /// `scalar_stream(addr, words, kind)`.
-    ScalarStream { addr: u32, words: u32, write: bool },
+    /// `scalar_stream(addr, words, kind)`; `addr`, `words` pooled.
+    ScalarStream { write: bool, at: u32 },
     /// `phase(p, ..)` opened.
     PhaseBegin { phase: KernelPhase },
     /// `phase(p, ..)` closed.
     PhaseEnd { phase: KernelPhase },
     /// A network layer opened (`desc` indexes [`ReplayTrace::descs`]).
-    LayerBegin { index: u32, desc: u32 },
+    LayerBegin { index: u16, desc: u32 },
     /// The innermost open layer closed.
     LayerEnd,
     /// `note_spill()`.
@@ -229,6 +234,8 @@ pub enum ReplayOp {
     ResetTiming,
 }
 
+const _: () = assert!(std::mem::size_of::<ReplayOp>() == 8);
+
 /// A captured semantic trace: the op stream plus the side pools ops
 /// reference. One trace plus the capture-time functional run's static
 /// metadata is sufficient to re-time the run at any certified design point.
@@ -236,8 +243,8 @@ pub enum ReplayOp {
 pub struct ReplayTrace {
     /// The semantic op stream, in program order.
     pub ops: Vec<ReplayOp>,
-    /// Shared pool of indexed-access lane indices (see [`PoolRange`]).
-    pub idx_pool: Vec<u32>,
+    /// Wide operands of pooled ops (see [`ReplayOp`]), in recording order.
+    pub pool: Vec<u32>,
     /// Layer description strings referenced by [`ReplayOp::LayerBegin`].
     pub descs: Vec<String>,
 }
@@ -247,22 +254,105 @@ impl ReplayTrace {
     /// accounting in trace stores.
     pub fn approx_bytes(&self) -> usize {
         self.ops.capacity() * std::mem::size_of::<ReplayOp>()
-            + self.idx_pool.capacity() * 4
+            + self.pool.capacity() * 4
             + self.descs.iter().map(|d| d.len() + 24).sum::<usize>()
     }
 
-    /// Copy `idx` into the pool and return its range. Panics if the pool
-    /// would exceed `u32` addressing (≈ 16 GiB of indices — unreachable).
-    pub fn push_idx(&mut self, idx: &[u32]) -> PoolRange {
-        let off = u32::try_from(self.idx_pool.len()).expect("replay idx pool exceeds u32 range");
-        self.idx_pool.extend_from_slice(idx);
-        PoolRange { off, len: idx.len() as u32 }
+    /// Release the spare capacity the buffers grew into while recording.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.ops.shrink_to_fit();
+        self.pool.shrink_to_fit();
+        self.descs.shrink_to_fit();
     }
 
-    /// Intern a layer description string, returning its pool index.
-    pub fn push_desc(&mut self, desc: &str) -> u32 {
+    /// Append `words` to the pool and return their offset. Panics if the
+    /// pool would exceed `u32` addressing (≈ 16 GiB — unreachable).
+    fn pool_push(&mut self, words: &[u32]) -> u32 {
+        let at = u32::try_from(self.pool.len()).expect("replay pool exceeds u32 range");
+        self.pool.extend_from_slice(words);
+        at
+    }
+
+    /// The two pooled words at `at`.
+    #[inline]
+    fn pair(&self, at: u32) -> (u32, u32) {
+        let at = at as usize;
+        (self.pool[at], self.pool[at + 1])
+    }
+
+    /// Record `whilelt(i, n)`.
+    pub(crate) fn push_whilelt(&mut self, i: u64, n: u64) {
+        let at = self.pool_push(&[r32(i, "whilelt i"), r32(n, "whilelt n")]);
+        self.ops.push(ReplayOp::Whilelt { at });
+    }
+
+    /// Record a strided load (`store == false`) or store of register `reg`.
+    pub(crate) fn push_strided(
+        &mut self,
+        store: bool,
+        reg: usize,
+        vl: usize,
+        addr: u64,
+        stride: u64,
+    ) {
+        let at = self.pool_push(&[r32(addr, "strided addr"), r32(stride, "strided stride")]);
+        let (reg, vl) = (reg as u8, vl as u16);
+        self.ops.push(if store {
+            ReplayOp::VStoreStrided { vs: reg, vl, at }
+        } else {
+            ReplayOp::VLoadStrided { vd: reg, vl, at }
+        });
+    }
+
+    /// Record an indexed access with its lane indices copied verbatim —
+    /// including `u32::MAX` inactive-lane sentinels, in lane order.
+    pub(crate) fn push_indexed(&mut self, op: IndexedOp, reg: usize, base: u64, idx: &[u32]) {
+        let at = self.pool_push(&[r32(base, "indexed base"), r32(idx.len() as u64, "indexed vl")]);
+        self.pool.extend_from_slice(idx);
+        self.ops.push(ReplayOp::VIndexed { op, reg: reg as u8, at });
+    }
+
+    /// Record `scalar_stream(addr, words, kind)`.
+    pub(crate) fn push_stream(&mut self, addr: u64, words: u64, write: bool) {
+        let at =
+            self.pool_push(&[r32(addr, "scalar_stream addr"), r32(words, "scalar_stream words")]);
+        self.ops.push(ReplayOp::ScalarStream { write, at });
+    }
+
+    /// Record a layer opening, interning its description string.
+    pub(crate) fn push_layer(&mut self, index: usize, desc: &str) {
+        let index = u16::try_from(index)
+            .unwrap_or_else(|_| panic!("replay log: layer index {index} exceeds u16"));
         self.descs.push(desc.to_string());
-        (self.descs.len() - 1) as u32
+        let desc = r32((self.descs.len() - 1) as u64, "layer desc index");
+        self.ops.push(ReplayOp::LayerBegin { index, desc });
+    }
+
+    /// `(i, n)` of a [`ReplayOp::Whilelt`].
+    #[inline]
+    pub fn whilelt(&self, at: u32) -> (u32, u32) {
+        self.pair(at)
+    }
+
+    /// `(addr, stride)` of a [`ReplayOp::VLoadStrided`] or
+    /// [`ReplayOp::VStoreStrided`].
+    #[inline]
+    pub fn strided(&self, at: u32) -> (u32, u32) {
+        self.pair(at)
+    }
+
+    /// `(base, lane indices)` of a [`ReplayOp::VIndexed`].
+    #[inline]
+    pub fn indexed(&self, at: u32) -> (u32, &[u32]) {
+        let (base, vl) = self.pair(at);
+        let lanes = at as usize + 2;
+        (base, &self.pool[lanes..lanes + vl as usize])
+    }
+
+    /// `(addr, words)` of a [`ReplayOp::ScalarStream`].
+    #[inline]
+    pub fn stream(&self, at: u32) -> (u32, u32) {
+        self.pair(at)
     }
 }
 
@@ -298,6 +388,12 @@ impl ProbeTape {
     /// Approximate heap footprint in bytes (capacity-based).
     pub fn approx_bytes(&self) -> usize {
         self.levels.capacity() + self.segments.capacity() * std::mem::size_of::<TapeSegment>()
+    }
+
+    /// Release the spare capacity the buffers grew into while recording.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.levels.shrink_to_fit();
+        self.segments.shrink_to_fit();
     }
 }
 
@@ -403,7 +499,7 @@ impl TapePlayer {
 }
 
 /// Convert a recorded `u64` quantity (address, stride, count) to the `u32`
-/// the compact op encoding stores. The simulated arena and per-call scalar
+/// the op encoding stores. The simulated arena and per-call scalar
 /// batches are orders of magnitude below 4 Gi; a capture that violates this
 /// fails loudly rather than truncating.
 #[inline]

@@ -14,11 +14,18 @@
 //!
 //! Streams are randomized (seeded SplitMix64) over the full public op
 //! surface including phases, layer markers, predication, reductions, scalar
-//! charges and `reset_timing` segment boundaries.
+//! charges and `reset_timing` segment boundaries. Tape refits are also run
+//! through the per-layer memo ([`Machine::replay_with`]), which reads every
+//! op's operands a second way (probe counts and reduced signatures).
 
-use lva_isa::replay::{ProbeTape, ReplayTrace, SegmentReplay};
-use lva_isa::{Buf, IdealKnob, KernelPhase, Machine, MachineConfig, PrefetchTarget};
+use lva_isa::replay::{ProbeTape, ReplayTrace, SegmentReplay, TapeSegment};
+use lva_isa::{
+    Buf, IdealKnob, KernelPhase, LayerMemo, Machine, MachineConfig, PrefetchTarget, RefitGeometry,
+    RefitPlan, ReplayOp,
+};
 use lva_sim::{AccessKind, Rng};
+use std::mem::size_of;
+use std::sync::Arc;
 
 /// Working-set size in `f32` words: larger than the L1 so the stream
 /// exercises misses, fills, writebacks and the prefetchers.
@@ -305,10 +312,62 @@ fn tape_refit_matches_capture_bit_for_bit() {
     for (name, cfg) in design_points() {
         let (obs, trace, tape) = capture_run(&cfg, 7);
         let mut m = Machine::new(cfg.clone());
-        m.play_probe_tape(std::sync::Arc::new(tape)).expect("same geometry");
+        m.play_probe_tape(Arc::new(tape)).expect("same geometry");
         let segs = m.replay(&trace);
         assert_eq!(observe_segment(&segs[1]), obs, "{name}: tape refit");
     }
+}
+
+/// The per-layer memo path: two memoized refits sharing one [`LayerMemo`]
+/// must both reproduce the capture, and the second must apply at least one
+/// stored layer effect (summed over the design points; a64fx covers the
+/// hardware-prefetch fold).
+#[test]
+fn memoized_tape_refit_matches_capture_bit_for_bit() {
+    let mut second_pass_hits = 0;
+    for (name, cfg) in design_points() {
+        let (obs, trace, tape) = capture_run(&cfg, 19);
+        let geometry = RefitGeometry {
+            line_bytes: cfg.mem.l1.line_bytes as u64,
+            hw_prefetch: cfg.mem.hw_prefetch.is_some(),
+        };
+        let plan = RefitPlan::build(&trace, geometry);
+        let tape = Arc::new(tape);
+        let refit = |memo: &mut LayerMemo| {
+            let mut m = Machine::new(cfg.clone());
+            m.play_probe_tape(tape.clone()).expect("same geometry");
+            m.replay_with(&trace, Some((&plan, memo)))
+        };
+        let mut memo = LayerMemo::new();
+        let first = refit(&mut memo);
+        let hits = memo.hits;
+        let second = refit(&mut memo);
+        assert_eq!(observe_segment(&first[1]), obs, "{name}: first memoized refit");
+        assert_eq!(second, first, "{name}: second memoized refit");
+        second_pass_hits += memo.hits - hits;
+    }
+    assert!(second_pass_hits >= 1, "the second memoized pass never hit the layer memo");
+}
+
+/// A finished capture and a taken probe tape hold no spare capacity, so
+/// `approx_bytes` is what the buffers actually use.
+#[test]
+fn finished_recordings_are_trimmed_to_length() {
+    let cfg = MachineConfig::rvv_gem5(2048, 8, 1 << 20);
+    let (_, trace, tape) = capture_run(&cfg, 23);
+    let descs: usize = trace.descs.iter().map(|d| d.len() + 24).sum();
+    assert_eq!(
+        trace.approx_bytes(),
+        trace.ops.len() * size_of::<ReplayOp>() + trace.pool.len() * size_of::<u32>() + descs
+    );
+    let tape_bytes = |t: &ProbeTape| t.levels.len() + t.segments.len() * size_of::<TapeSegment>();
+    assert_eq!(tape.approx_bytes(), tape_bytes(&tape));
+    // A tape recorded by a live replay goes through the same trim.
+    let mut m = Machine::new(cfg);
+    m.record_probe_tape();
+    m.replay(&trace);
+    let live = m.take_probe_tape().expect("tape recording was started");
+    assert_eq!(live.approx_bytes(), tape_bytes(&live));
 }
 
 /// Live replay retargets *state-changing* axes: a capture at L2 = 1 MB
@@ -333,7 +392,7 @@ fn tape_refit_retargets_ideal_knobs() {
     let seed = 13u64;
     let base = MachineConfig::rvv_gem5(2048, 8, 1 << 20);
     let (_, trace, tape) = capture_run(&base, seed);
-    let tape = std::sync::Arc::new(tape);
+    let tape = Arc::new(tape);
     for knob in IdealKnob::ALL {
         let mut target = base.clone();
         target.ideal = knob.spec();
@@ -350,5 +409,5 @@ fn tape_refit_retargets_ideal_knobs() {
 fn tape_geometry_mismatch_is_refused() {
     let (_, _, tape) = capture_run(&MachineConfig::rvv_gem5(2048, 8, 1 << 20), 17);
     let mut m = Machine::new(MachineConfig::rvv_gem5(2048, 8, 4 << 20));
-    assert!(m.play_probe_tape(std::sync::Arc::new(tape)).is_err());
+    assert!(m.play_probe_tape(Arc::new(tape)).is_err());
 }

@@ -49,8 +49,10 @@ pub struct TraceEntry {
 }
 
 impl TraceEntry {
+    /// The capture's own tape is one of `tapes`, so `cap` contributes only
+    /// its trace.
     fn approx_bytes(&self) -> usize {
-        self.cap.approx_bytes() + self.tapes.values().map(|t| t.approx_bytes()).sum::<usize>()
+        self.cap.trace.approx_bytes() + self.tapes.values().map(|t| t.approx_bytes()).sum::<usize>()
     }
 }
 
@@ -277,5 +279,31 @@ impl RetimeStore {
 impl Default for RetimeStore {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lva_core::{scaled_input, Experiment, HwTarget, Workload};
+    use lva_kernels::GemmVariant;
+    use lva_nn::{ConvPolicy, ModelId};
+
+    #[test]
+    fn a_capture_tape_is_counted_once() {
+        let e = Experiment::new(
+            HwTarget::RvvGem5 { vlen_bits: 2048, lanes: 8, l2_bytes: 1 << 20 },
+            ConvPolicy::gemm_only(GemmVariant::opt3()),
+            Workload {
+                model: ModelId::Yolov3Tiny,
+                input_hw: scaled_input(ModelId::Yolov3Tiny, 13),
+                layer_limit: Some(2),
+            },
+        );
+        let cap = e.run_traced();
+        let bytes = cap.approx_bytes();
+        let mut store = RetimeStore::new();
+        store.insert_trace(StreamKey::of(&e), cap, "fp".into());
+        assert_eq!(store.approx_bytes(), bytes);
     }
 }
