@@ -157,7 +157,7 @@ fn parse_from(
     while let Some(a) = args.next() {
         let flag = a.as_str();
         if tool && !matches!(flag, "--jobs" | "--json" | "--trace" | "--help" | "-h") {
-            return Err(format!("unknown option {flag}"));
+            return Err(format!("unknown option {flag:?}"));
         }
         match flag {
             "--div" => {
@@ -166,7 +166,13 @@ fn parse_from(
                     return Err("--div needs an integer >= 1".into());
                 }
             }
-            "--layers" => opts.layers = Some(number(flag, args.next())?),
+            "--layers" => {
+                let layers = number(flag, args.next())?;
+                if layers == 0 {
+                    return Err("--layers needs an integer >= 1".into());
+                }
+                opts.layers = Some(layers);
+            }
             "--no-csv" => opts.csv = false,
             "--csv" => opts.csv = true,
             "--json" => opts.json = true,
@@ -187,7 +193,7 @@ fn parse_from(
             "--chrome" => opts.chrome = Some(path(flag, args.next())?),
             "--trace" => trace = Some(path(flag, args.next())?),
             "--help" | "-h" => return Ok(Parsed::Help),
-            other => return Err(format!("unknown option {other}")),
+            other => return Err(format!("unknown option {other:?}")),
         }
     }
     Ok(Parsed::Run { opts, trace })
@@ -219,6 +225,7 @@ mod tests {
             &["--div", "0"],
             &["--div"],
             &["--layers", "x"],
+            &["--layers", "0"],
             &["--jobs", "x"],
             &["--chrome"],
             &["--trace"],
@@ -228,6 +235,52 @@ mod tests {
         }
         let tool = parse_from(1, true, ["--div".to_string(), "2".to_string()]);
         assert!(tool.is_err(), "lint tools reject experiment flags");
+    }
+
+    /// Seeded fuzz over the flag vocabulary plus garbage values, empty
+    /// strings and truncated argvs, in both experiment and tool mode: the
+    /// parser never panics, and every error names the flag at fault — it
+    /// starts with a flag that needs a value, or quotes an unknown one.
+    #[test]
+    fn fuzzed_argv_never_panics_and_errors_name_the_flag() {
+        let flags: Vec<&str> = "--div --layers --no-csv --csv --json --no-json --profile --jobs \
+             --wallclock --with-whatif --with-energy --retime --retime=verify --retime=off \
+             --chrome --trace --help -h"
+            .split_whitespace()
+            .collect();
+        const VALUES: &[&str] = &[
+            "0",
+            "1",
+            "8",
+            "-1",
+            "x",
+            "",
+            " ",
+            "1e3",
+            "99999999999999999999999",
+            "t.jsonl",
+            "--div",
+            "--retime=bogus",
+            "-",
+            "\u{0}",
+        ];
+        let mut rng = lva_sim::Rng::new(0x00C1_1F22);
+        for _ in 0..4000 {
+            let len = rng.gen_index(0, 7);
+            let argv: Vec<String> = (0..len)
+                .map(|_| {
+                    let pool = if rng.gen_bool(0.6) { &flags[..] } else { VALUES };
+                    pool[rng.gen_index(0, pool.len())].to_string()
+                })
+                .collect();
+            for tool in [false, true] {
+                let Err(msg) = parse_from(4, tool, argv.iter().cloned()) else { continue };
+                let named = argv.iter().any(|a| {
+                    msg.starts_with(&format!("{a} needs")) || msg == format!("unknown option {a:?}")
+                });
+                assert!(named, "error {msg:?} for {argv:?} (tool={tool}) names no flag");
+            }
+        }
     }
 
     #[test]

@@ -1512,7 +1512,7 @@ impl Machine {
 
     /// `vd[i] += a * vs[i]` — RVV `vfmacc.vf` / SVE `svmla_n` (Fig. 2 l.11).
     pub fn vfmacc_vf(&mut self, vd: VReg, a: f32, vs: VReg, vl: usize) {
-        self.rlog_arith(VArithOp::MaccVf, vd, vs, 0, vl);
+        self.rlog_with(|log| log.push_macc_vf(vd, vs, vl));
         {
             let (d, s) = self.vreg_pair(vd, vs);
             for (d, &s) in d[..vl].iter_mut().zip(&s[..vl]) {
@@ -2004,6 +2004,11 @@ impl Machine {
             ReplayOp::ScalarFlops { n } => self.scalar_flops_tl(n as u64),
             ReplayOp::ScalarRead { addr } => self.tl_scalar_mem(addr as u64, AccessKind::Read),
             ReplayOp::ScalarWrite { addr } => self.tl_scalar_mem(addr as u64, AccessKind::Write),
+            ReplayOp::ScalarMacc { vd, vs_vl, addr } => {
+                self.tl_scalar_mem(addr as u64, AccessKind::Read);
+                let (vs, vl) = (vs_vl.vs() as VReg, vs_vl.vl() as usize);
+                self.tl_varith(VArithOp::MaccVf, vd as VReg, vs, 0, vl);
+            }
             ReplayOp::ScalarStream { write, at } => {
                 let (addr, words) = trace.stream(at);
                 let kind = if write { AccessKind::Write } else { AccessKind::Read };

@@ -170,7 +170,9 @@ fn op_probes(op: &ReplayOp, trace: &ReplayTrace, lb: u64) -> u64 {
             }
             probes
         }
-        ReplayOp::ScalarRead { .. } | ReplayOp::ScalarWrite { .. } => 1,
+        ReplayOp::ScalarRead { .. }
+        | ReplayOp::ScalarWrite { .. }
+        | ReplayOp::ScalarMacc { .. } => 1,
         ReplayOp::ScalarStream { at, .. } => {
             let (addr, words) = trace.stream(at);
             let (addr, words) = (addr as u64, words as u64);
@@ -257,6 +259,10 @@ fn fold_op(f: &mut Fold128, op: &ReplayOp, trace: &ReplayTrace, g: RefitGeometry
         // The tape supplies the serving level; the address is never read.
         ReplayOp::ScalarRead { .. } => f.push(13),
         ReplayOp::ScalarWrite { .. } => f.push(14),
+        // Address-blind like `ScalarRead`; the FMA half folds like `VArith`.
+        ReplayOp::ScalarMacc { vd, vs_vl, .. } => {
+            f.push(19 | (vd as u64) << 8 | (vs_vl.vs() as u64) << 16 | (vs_vl.vl() as u64) << 24);
+        }
         ReplayOp::ScalarStream { write, .. } => {
             f.push(15 | (write as u64) << 8);
             f.push(op_probes(op, trace, lb));
@@ -510,6 +516,29 @@ mod tests {
         let mut b = Fold128::new(0);
         fold_op(&mut b, &ReplayOp::ScalarRead { addr: 2000 }, &ReplayTrace::default(), g);
         assert_eq!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn fused_macc_folds_address_blind_but_operand_exact() {
+        let g = RefitGeometry { line_bytes: 256, hw_prefetch: false };
+        let fused = |vd, vs, vl, addr| {
+            let mut t = ReplayTrace::default();
+            t.ops.push(ReplayOp::ScalarRead { addr });
+            t.push_macc_vf(vd, vs, vl);
+            t.ops[0]
+        };
+        let sig = |op: ReplayOp| {
+            let mut f = Fold128::new(0);
+            fold_op(&mut f, &op, &ReplayTrace::default(), g);
+            f.finish()
+        };
+        let base = fused(4, 0, 64, 100);
+        assert!(matches!(base, ReplayOp::ScalarMacc { .. }));
+        assert_eq!(op_probes(&base, &ReplayTrace::default(), 256), 1);
+        assert_eq!(sig(base), sig(fused(4, 0, 64, 2000)), "addr must not enter the fold");
+        for other in [fused(5, 0, 64, 100), fused(4, 1, 64, 100), fused(4, 0, 63, 100)] {
+            assert_ne!(sig(base), sig(other), "{other:?} must fold apart from {base:?}");
+        }
     }
 
     #[test]

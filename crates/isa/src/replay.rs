@@ -187,6 +187,13 @@ pub enum IndexedOp {
 /// ([`ReplayTrace::whilelt`], [`ReplayTrace::strided`],
 /// [`ReplayTrace::indexed`], [`ReplayTrace::stream`]) read them, so no
 /// consumer does offset arithmetic.
+///
+/// **Fused pair.** The GEMM micro-kernels' inner loop is a `scalar_read` of
+/// an A element immediately followed by a `vfmacc.vf` that consumes it.
+/// [`ReplayTrace`] records that adjacent pair as one
+/// [`ReplayOp::ScalarMacc`], whose `vs` and `vl` share a `u16` (see
+/// [`VsVl`]). Replay runs the two timing functions in the recorded order, so
+/// the fused op is timing-identical to the pair it replaces.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReplayOp {
     /// `setvl(rvl)`.
@@ -218,6 +225,8 @@ pub enum ReplayOp {
     ScalarRead { addr: u32 },
     /// `scalar_write(addr, _)`.
     ScalarWrite { addr: u32 },
+    /// `scalar_read(addr)` immediately followed by `vfmacc.vf(vd, _, vs, vl)`.
+    ScalarMacc { vd: u8, vs_vl: VsVl, addr: u32 },
     /// `scalar_stream(addr, words, kind)`; `addr`, `words` pooled.
     ScalarStream { write: bool, at: u32 },
     /// `phase(p, ..)` opened.
@@ -235,6 +244,35 @@ pub enum ReplayOp {
 }
 
 const _: () = assert!(std::mem::size_of::<ReplayOp>() == 8);
+
+/// The `vs` and `vl` operands of [`ReplayOp::ScalarMacc`] packed into one
+/// `u16`: `vl` in the low 10 bits, `vs` in the next 5. Lossless under the
+/// same invariants as the inline operands (at most 512 lanes, 32 registers);
+/// recording checks both bounds, panicking rather than truncating.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(transparent)]
+pub struct VsVl(u16);
+
+impl VsVl {
+    const VL_BITS: u32 = 10;
+
+    fn new(vs: usize, vl: usize) -> Self {
+        assert!(vs < 32 && vl < 1 << Self::VL_BITS, "replay log: vs {vs} / vl {vl} out of range");
+        VsVl((vs as u16) << Self::VL_BITS | vl as u16)
+    }
+
+    /// The source register.
+    #[inline]
+    pub fn vs(self) -> u8 {
+        (self.0 >> Self::VL_BITS) as u8
+    }
+
+    /// The vector length.
+    #[inline]
+    pub fn vl(self) -> u16 {
+        self.0 & ((1 << Self::VL_BITS) - 1)
+    }
+}
 
 /// A captured semantic trace: the op stream plus the side pools ops
 /// reference. One trace plus the capture-time functional run's static
@@ -317,6 +355,20 @@ impl ReplayTrace {
         let at =
             self.pool_push(&[r32(addr, "scalar_stream addr"), r32(words, "scalar_stream words")]);
         self.ops.push(ReplayOp::ScalarStream { write, at });
+    }
+
+    /// Record `vfmacc.vf(vd, _, vs, vl)`. Directly after a `scalar_read` the
+    /// pair becomes one [`ReplayOp::ScalarMacc`] (the read's op is rewritten
+    /// in place); anywhere else it is a plain [`ReplayOp::VArith`].
+    pub(crate) fn push_macc_vf(&mut self, vd: usize, vs: usize, vl: usize) {
+        if let Some(last) = self.ops.last_mut() {
+            if let ReplayOp::ScalarRead { addr } = *last {
+                *last = ReplayOp::ScalarMacc { vd: vd as u8, vs_vl: VsVl::new(vs, vl), addr };
+                return;
+            }
+        }
+        let (vd, a, vl) = (vd as u8, vs as u8, vl as u16);
+        self.ops.push(ReplayOp::VArith { op: VArithOp::MaccVf, vd, a, b: 0, vl });
     }
 
     /// Record a layer opening, interning its description string.
@@ -505,4 +557,55 @@ impl TapePlayer {
 #[inline]
 pub(crate) fn r32(v: u64, what: &'static str) -> u32 {
     u32::try_from(v).unwrap_or_else(|_| panic!("replay log: {what} {v} exceeds u32"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn macc(vd: u8, a: u8, vl: u16) -> ReplayOp {
+        ReplayOp::VArith { op: VArithOp::MaccVf, vd, a, b: 0, vl }
+    }
+
+    #[test]
+    fn macc_fuses_only_directly_after_a_scalar_read() {
+        let mut t = ReplayTrace::default();
+        t.ops.push(ReplayOp::ScalarRead { addr: 64 });
+        t.push_macc_vf(3, 0, 16);
+        assert_eq!(t.ops, [ReplayOp::ScalarMacc { vd: 3, vs_vl: VsVl::new(0, 16), addr: 64 }]);
+
+        for prev in [
+            ReplayOp::ScalarWrite { addr: 64 },
+            ReplayOp::ScalarFlops { n: 1 },
+            ReplayOp::PhaseBegin { phase: KernelPhase::Gemm },
+            ReplayOp::LayerBegin { index: 0, desc: 0 },
+            // A fused op is not a bare read: the next FMA stands alone.
+            ReplayOp::ScalarMacc { vd: 1, vs_vl: VsVl::new(0, 16), addr: 64 },
+        ] {
+            let mut t = ReplayTrace::default();
+            t.ops.push(prev);
+            t.push_macc_vf(3, 0, 16);
+            assert_eq!(t.ops, [prev, macc(3, 0, 16)], "after {prev:?}");
+        }
+
+        let mut t = ReplayTrace::default();
+        t.push_macc_vf(3, 0, 16);
+        assert_eq!(t.ops, [macc(3, 0, 16)], "empty trace");
+    }
+
+    #[test]
+    fn fused_operands_round_trip_at_their_extremes() {
+        for (vd, vs, vl) in [(31, 31, 512), (0, 0, 0)] {
+            let mut t = ReplayTrace::default();
+            t.ops.push(ReplayOp::ScalarRead { addr: u32::MAX });
+            t.push_macc_vf(vd, vs, vl);
+            let [ReplayOp::ScalarMacc { vd: d, vs_vl, addr }] = t.ops[..] else {
+                panic!("pair did not fuse: {:?}", t.ops)
+            };
+            assert_eq!(
+                (d as usize, vs_vl.vs() as usize, vs_vl.vl() as usize, addr),
+                (vd, vs, vl, u32::MAX)
+            );
+        }
+    }
 }

@@ -21,7 +21,7 @@
 use lva_isa::replay::{ProbeTape, ReplayTrace, SegmentReplay, TapeSegment};
 use lva_isa::{
     Buf, IdealKnob, KernelPhase, LayerMemo, Machine, MachineConfig, PrefetchTarget, RefitGeometry,
-    RefitPlan, ReplayOp,
+    RefitPlan, ReplayOp, VArithOp,
 };
 use lva_sim::{AccessKind, Rng};
 use std::mem::size_of;
@@ -79,7 +79,7 @@ fn random_stream(rng: &mut Rng, max_vl: usize, ops: usize) -> Vec<Op> {
         let vl = rng.gen_index(1, max_vl + 1);
         let vd = rng.gen_index(0, USED_REGS);
         let vs = rng.gen_index(0, USED_REGS);
-        out.push(match rng.gen_index(0, 16) {
+        let op = match rng.gen_index(0, 17) {
             0 => Op::Vle { vd, off: rng.gen_index(0, ARENA_WORDS - vl + 1), vl },
             1 => Op::Vse { vs, off: rng.gen_index(0, ARENA_WORDS - vl + 1), vl },
             2 => {
@@ -140,6 +140,18 @@ fn random_stream(rng: &mut Rng, max_vl: usize, ops: usize) -> Vec<Op> {
                     write: rng.gen_bool(0.3),
                 }
             }
+            15 => {
+                // The GEMM micro-kernel idiom: an A-element load feeding a
+                // `vfmacc.vf`. Adjacent, the pair records as one fused op;
+                // a scalar charge between them (the `alpha != 1` path)
+                // keeps the two ops apart.
+                out.push(Op::ScalarRead { off: rng.gen_index(0, ARENA_WORDS) });
+                if rng.gen_bool(0.5) {
+                    out.push(Op::ScalarFlops { n: 1 });
+                }
+                let vs = if vs == vd { (vs + 1) % USED_REGS } else { vs };
+                Op::Fma { vd, a: rng.next_f32_signed(), vs, vl }
+            }
             _ => match rng.gen_index(0, 3) {
                 0 => Op::ScalarRead { off: rng.gen_index(0, ARENA_WORDS) },
                 1 => {
@@ -150,7 +162,8 @@ fn random_stream(rng: &mut Rng, max_vl: usize, ops: usize) -> Vec<Op> {
                     target: if rng.gen_bool(0.5) { PrefetchTarget::L1 } else { PrefetchTarget::L2 },
                 },
             },
-        });
+        };
+        out.push(op);
     }
     out
 }
@@ -304,6 +317,24 @@ fn live_replay_matches_capture_bit_for_bit() {
             assert_eq!(observe_segment(&segs[1]), obs, "{name} seed={seed:#x}: live replay");
             assert_eq!(segs[1].layers.len(), 2, "{name}: two layers recorded");
         }
+    }
+}
+
+/// The streams above exercise both recordings of `vfmacc.vf`: fused with
+/// the `scalar_read` before it, and standalone.
+#[test]
+fn captures_hold_fused_and_standalone_macc() {
+    for (name, cfg) in design_points() {
+        let (_, trace, _) = capture_run(&cfg, 3);
+        let has = |want: fn(&ReplayOp) -> bool| trace.ops.iter().any(want);
+        assert!(
+            has(|op| matches!(op, ReplayOp::ScalarMacc { .. })),
+            "{name}: no fused scalar_read + vfmacc.vf"
+        );
+        assert!(
+            has(|op| matches!(op, ReplayOp::VArith { op: VArithOp::MaccVf, .. })),
+            "{name}: no standalone vfmacc.vf"
+        );
     }
 }
 
