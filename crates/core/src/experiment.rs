@@ -1,10 +1,7 @@
 //! Experiment definition and execution.
 
 use crate::observe::{self, Attach, Observer};
-use lva_isa::{
-    IdealSpec, LayerMemo, Machine, MachineConfig, ProbeTape, RefitGeometry, RefitPlan, ReplayTrace,
-    SegmentReplay,
-};
+use lva_isa::{IdealSpec, Machine, MachineConfig, ProbeTape, ReplayTrace, SegmentReplay};
 use lva_nn::network::{estimate_arena_words, LayerReport, Network};
 use lva_nn::{ConvPolicy, ModelId, NetReport};
 use lva_tensor::host_random;
@@ -314,16 +311,10 @@ pub enum Source<'a> {
     Live,
     /// Tape refit: each memory probe's serving level is read back from
     /// `tape` instead of re-simulated, so the hierarchy state machine never
-    /// runs, and layers whose reduced op region, tape slice and relative
-    /// entry state were seen before are applied from `memo` as stored
-    /// state deltas (bit-identical; see `lva_isa::refit`). Exact for every
-    /// timing-only axis (latency constants, lanes, core CPI, `IdealSpec`);
-    /// an error if `tape` was recorded at another state geometry
-    /// (capacities, associativity, line size, prefetcher). `plan` must be
-    /// built from the capture's trace at [`Experiment::refit_geometry`],
-    /// and `memo` scoped to exactly this design point — the `lva-retime`
-    /// store manages both.
-    Tape { tape: &'a Arc<ProbeTape>, plan: &'a RefitPlan, memo: &'a mut LayerMemo },
+    /// runs. Exact for every timing-only axis (latency constants, lanes,
+    /// core CPI, `IdealSpec`); an error if `tape` was recorded at another
+    /// state geometry (capacities, associativity, line size, prefetcher).
+    Tape { tape: &'a Arc<ProbeTape> },
 }
 
 impl Experiment {
@@ -442,13 +433,9 @@ impl Experiment {
         // minimum the allocator accepts.
         cfg.arena_mib = 1;
         let mut m = Machine::new(cfg);
-        let memo = match source {
-            Source::Live => None,
-            Source::Tape { tape, plan, memo } => {
-                m.play_probe_tape(Arc::clone(tape))?;
-                Some((plan, memo))
-            }
-        };
+        if let Source::Tape { tape } = source {
+            m.play_probe_tape(Arc::clone(tape))?;
+        }
         let (frames, attached) = if O::ATTACH == Attach::Frame {
             // Attach at the setup boundary, exactly where a live run does.
             let start = m.replay_setup(&cap.trace);
@@ -456,23 +443,13 @@ impl Experiment {
             (m.replay_from(&cap.trace, start), attached)
         } else {
             let attached = observer.attach(&mut m);
-            let mut segments = m.replay_with(&cap.trace, memo);
+            let mut segments = m.replay(&cap.trace);
             segments.remove(0); // the setup segment
             (segments, attached)
         };
         let mut summary = cap.summary.rebuild(frames);
         let out = observer.finish(attached, &mut m, &mut summary.last_mut().report, self);
         Ok((summary, out))
-    }
-
-    /// The probe-count / miss-ring geometry of this experiment's memory
-    /// system, for building [`RefitPlan`]s and scoping [`LayerMemo`]s.
-    pub fn refit_geometry(&self) -> RefitGeometry {
-        let cfg = self.hw.machine_config();
-        RefitGeometry {
-            line_bytes: cfg.mem.l1.line_bytes as u64,
-            hw_prefetch: cfg.mem.hw_prefetch.is_some(),
-        }
     }
 }
 
@@ -585,14 +562,12 @@ mod tests {
         let cap = e.run_traced();
         let (live, tape) = e.retime(&cap, Source::Live, observe::RecordTape).expect("live replay");
         assert_eq!(live.report, cap.summary.report);
-        let (tape, plan) = (Arc::new(tape), RefitPlan::build(&cap.trace, e.refit_geometry()));
-        let mut memo = LayerMemo::default();
-        let refit = Source::Tape { tape: &tape, plan: &plan, memo: &mut memo };
-        let (refit, ()) = e.retime(&cap, refit, ()).expect("tape at its own geometry");
+        let tape = Arc::new(tape);
+        let (refit, ()) =
+            e.retime(&cap, Source::Tape { tape: &tape }, ()).expect("tape at its own geometry");
         assert_eq!(refit.report, cap.summary.report);
         assert!(e.retime(&cap, Source::Live, observe::Capture).is_err());
-        let refit = Source::Tape { tape: &tape, plan: &plan, memo: &mut memo };
-        assert!(e.retime(&cap, refit, observe::Profile).is_err());
+        assert!(e.retime(&cap, Source::Tape { tape: &tape }, observe::Profile).is_err());
     }
 
     #[test]

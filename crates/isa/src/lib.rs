@@ -30,7 +30,6 @@ pub mod config;
 pub mod machine;
 pub mod pred;
 pub mod record;
-pub mod refit;
 pub mod replay;
 pub mod stats;
 
@@ -41,7 +40,6 @@ pub use config::{
 pub use machine::{Machine, PipeEvent, ReplayCursor, VReg, NUM_VREGS};
 pub use pred::Pred;
 pub use record::{stream_hash, EventKind, EventSink, StreamHasher, VecEvent};
-pub use refit::{Fold128, LayerMemo, LayerRegion, RefitGeometry, RefitPlan};
 pub use replay::{
     LayerReplay, ProbeTape, ReplayOp, ReplayTrace, SegmentReplay, TapeSegment, VArithOp,
 };

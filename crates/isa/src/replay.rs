@@ -536,18 +536,6 @@ impl TapePlayer {
     pub(crate) fn segment_stats(&self) -> MemSystemStats {
         self.tape.segments[self.seg].stats
     }
-
-    /// The next `n` probe levels, without consuming them (memo keying).
-    #[inline]
-    pub(crate) fn peek(&self, n: u64) -> &[u8] {
-        &self.tape.levels[self.cursor..self.cursor + n as usize]
-    }
-
-    /// Advance past `n` probes without reading them (memoized-layer apply).
-    #[inline]
-    pub(crate) fn skip(&mut self, n: u64) {
-        self.cursor += n as usize;
-    }
 }
 
 /// Convert a recorded `u64` quantity (address, stride, count) to the `u32`

@@ -14,14 +14,11 @@
 //!
 //! Streams are randomized (seeded SplitMix64) over the full public op
 //! surface including phases, layer markers, predication, reductions, scalar
-//! charges and `reset_timing` segment boundaries. Tape refits are also run
-//! through the per-layer memo ([`Machine::replay_with`]), which reads every
-//! op's operands a second way (probe counts and reduced signatures).
+//! charges and `reset_timing` segment boundaries.
 
 use lva_isa::replay::{ProbeTape, ReplayTrace, SegmentReplay, TapeSegment};
 use lva_isa::{
-    Buf, IdealKnob, KernelPhase, LayerMemo, Machine, MachineConfig, PrefetchTarget, RefitGeometry,
-    RefitPlan, ReplayOp, VArithOp,
+    Buf, IdealKnob, KernelPhase, Machine, MachineConfig, PrefetchTarget, ReplayOp, VArithOp,
 };
 use lva_sim::{AccessKind, Rng};
 use std::mem::size_of;
@@ -347,37 +344,6 @@ fn tape_refit_matches_capture_bit_for_bit() {
         let segs = m.replay(&trace);
         assert_eq!(observe_segment(&segs[1]), obs, "{name}: tape refit");
     }
-}
-
-/// The per-layer memo path: two memoized refits sharing one [`LayerMemo`]
-/// must both reproduce the capture, and the second must apply at least one
-/// stored layer effect (summed over the design points; a64fx covers the
-/// hardware-prefetch fold).
-#[test]
-fn memoized_tape_refit_matches_capture_bit_for_bit() {
-    let mut second_pass_hits = 0;
-    for (name, cfg) in design_points() {
-        let (obs, trace, tape) = capture_run(&cfg, 19);
-        let geometry = RefitGeometry {
-            line_bytes: cfg.mem.l1.line_bytes as u64,
-            hw_prefetch: cfg.mem.hw_prefetch.is_some(),
-        };
-        let plan = RefitPlan::build(&trace, geometry);
-        let tape = Arc::new(tape);
-        let refit = |memo: &mut LayerMemo| {
-            let mut m = Machine::new(cfg.clone());
-            m.play_probe_tape(tape.clone()).expect("same geometry");
-            m.replay_with(&trace, Some((&plan, memo)))
-        };
-        let mut memo = LayerMemo::new();
-        let first = refit(&mut memo);
-        let hits = memo.hits;
-        let second = refit(&mut memo);
-        assert_eq!(observe_segment(&first[1]), obs, "{name}: first memoized refit");
-        assert_eq!(second, first, "{name}: second memoized refit");
-        second_pass_hits += memo.hits - hits;
-    }
-    assert!(second_pass_hits >= 1, "the second memoized pass never hit the layer memo");
 }
 
 /// A finished capture and a taken probe tape hold no spare capacity, so

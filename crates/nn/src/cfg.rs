@@ -12,6 +12,7 @@
 //! learning rates, …) are accepted and ignored.
 
 use crate::layer::LayerSpec;
+use crate::network::{check_shapes, MAX_TENSOR_ELEMS};
 use lva_kernels::aux::Activation;
 use lva_tensor::Shape;
 use std::collections::HashMap;
@@ -103,7 +104,10 @@ fn lex(text: &str) -> Result<Vec<Section>, CfgError> {
 ///
 /// # Errors
 /// Returns a [`CfgError`] naming the offending line for syntax errors,
-/// unknown sections, or unsupported options.
+/// unknown sections, unsupported options, an empty input, or a layer
+/// table [`check_shapes`] rejects (zero sizes or strides, references to
+/// missing layers, mismatched shapes); a layer's line is its section
+/// header.
 pub fn parse_cfg(text: &str) -> Result<(Vec<LayerSpec>, Shape), CfgError> {
     let sections = lex(text)?;
     let mut iter = sections.into_iter();
@@ -114,7 +118,11 @@ pub fn parse_cfg(text: &str) -> Result<(Vec<LayerSpec>, Shape), CfgError> {
     let h = net.get_usize("height", 416)?;
     let w = net.get_usize("width", h)?;
     let c = net.get_usize("channels", 3)?;
+    if !(1..=MAX_TENSOR_ELEMS).contains(&h.saturating_mul(w).saturating_mul(c)) {
+        return Err(err(net.line, format!("input {c}x{h}x{w} is empty or too large")));
+    }
     let mut layers = Vec::new();
+    let mut lines = Vec::new();
     for s in iter {
         let spec = match s.name.as_str() {
             "convolutional" | "conv" => {
@@ -165,11 +173,14 @@ pub fn parse_cfg(text: &str) -> Result<(Vec<LayerSpec>, Shape), CfgError> {
             other => return Err(err(s.line, format!("unsupported section [{other}]"))),
         };
         layers.push(spec);
+        lines.push(s.line);
     }
     if layers.is_empty() {
         return Err(err(net.line, "cfg defines no layers"));
     }
-    Ok((layers, Shape::new(c, h, w)))
+    let input = Shape::new(c, h, w);
+    check_shapes(&layers, input).map_err(|e| err(lines[e.layer], e.message))?;
+    Ok((layers, input))
 }
 
 /// Serialize a layer table to Darknet cfg text (inverse of [`parse_cfg`]).
@@ -350,6 +361,23 @@ stride=2
         assert_eq!(e.line, 1);
         let e = parse_cfg("[net]\nheight=x\n[maxpool]\n").unwrap_err();
         assert!(e.message.contains("height") || e.message.contains("bad integer"));
+        // Tables that parse but cannot run: the error names the section.
+        const ONE_CONV: &str = "[net]\nheight=32\nwidth=32\n[convolutional]\nfilters=4\nsize=1\n";
+        for (text, line, what) in [
+            (format!("{ONE_CONV}[route]\nlayers=-9\n"), 7, "-9 out of range"),
+            (
+                format!("{ONE_CONV}[convolutional]\nfilters=8\nsize=1\n[shortcut]\nfrom=-2\n"),
+                10,
+                "shortcut shape mismatch",
+            ),
+            ("[net]\nheight=32\n[convolutional]\nsize=3\nstride=0\n".into(), 3, "stride"),
+            ("[net]\nheight=32\n[maxpool]\nsize=0\nstride=0\n".into(), 3, "size"),
+            ("[net]\nheight=0\nwidth=32\n[maxpool]\n".into(), 1, "empty"),
+        ] {
+            let e = parse_cfg(&text).expect_err(&text);
+            assert_eq!(e.line, line, "{text}: {e}");
+            assert!(e.message.contains(what), "{text}: {e}");
+        }
     }
 
     #[test]
@@ -418,20 +446,74 @@ stride=2
         }
     }
 
-    /// Random layer tables round-trip through serialize/parse.
+    /// Random well-formed layer tables round-trip through serialize/parse.
+    /// A drawn layer that [`check_shapes`] rejects after the layers before
+    /// it (a dangling route, a mismatched shortcut) is drawn again.
     #[test]
     fn cfg_roundtrip_is_identity() {
         let mut rng = Rng::new(0xcf6);
         for _ in 0..64 {
-            let specs: Vec<LayerSpec> =
-                (0..rng.gen_index(1, 24)).map(|_| arb_spec(&mut rng)).collect();
             let shape =
                 Shape::new(rng.gen_index(1, 8), rng.gen_index(1, 512), rng.gen_index(1, 512));
+            let n = rng.gen_index(1, 24);
+            let mut specs: Vec<LayerSpec> = Vec::new();
+            while specs.len() < n {
+                specs.push(arb_spec(&mut rng));
+                if check_shapes(&specs, shape).is_err() {
+                    specs.pop();
+                }
+            }
             let text = to_cfg(&specs, shape);
             let (parsed, pshape) = parse_cfg(&text).expect("roundtrip");
             assert_eq!(parsed, specs);
             assert_eq!(pshape, shape);
         }
+    }
+
+    /// Seeded mutations of the bundled cfgs (a value replaced, a line
+    /// dropped or repeated) either fail to parse or yield a table whose
+    /// shape walk succeeds: nothing that parses panics downstream.
+    #[test]
+    fn mutated_bundled_cfgs_parse_only_into_runnable_tables() {
+        const VALUES: [&str; 12] =
+            ["-9", "-2", "-1", "0", "1", "2", "3", "7", "1024", "99999999999", "x", ""];
+        let mut rng = Rng::new(0xbad_cf6);
+        let (mut ok, mut rejected) = (0, 0);
+        for text in [
+            bundled::YOLOV3,
+            bundled::YOLOV3_TINY,
+            bundled::VGG16,
+            bundled::RESNET50,
+            bundled::MOBILENET_V1,
+        ] {
+            let lines: Vec<&str> = text.lines().collect();
+            for _ in 0..200 {
+                let mut mutated: Vec<String> = lines.iter().map(|l| (*l).to_string()).collect();
+                for _ in 0..rng.gen_index(1, 4) {
+                    let at = rng.gen_index(0, mutated.len());
+                    match rng.gen_index(0, 4) {
+                        0 => {
+                            mutated.remove(at);
+                        }
+                        1 => mutated.insert(at, mutated[at].clone()),
+                        _ => {
+                            if let Some((k, _)) = mutated[at].split_once('=') {
+                                let v = VALUES[rng.gen_index(0, VALUES.len())];
+                                mutated[at] = format!("{k}={v}");
+                            }
+                        }
+                    }
+                }
+                match parse_cfg(&mutated.join("\n")) {
+                    Ok((specs, shape)) => {
+                        crate::network::walk_shapes(&specs, shape);
+                        ok += 1;
+                    }
+                    Err(_) => rejected += 1,
+                }
+            }
+        }
+        assert!(ok > 100 && rejected > 100, "{ok} parsed, {rejected} rejected");
     }
 
     #[test]

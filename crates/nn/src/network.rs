@@ -151,23 +151,73 @@ fn he_scaled(n: usize, fan_in: usize, seed: u64) -> Vec<f32> {
     w
 }
 
-/// Resolve a Darknet route/shortcut index (negative = relative).
-fn resolve(idx: isize, current: usize) -> usize {
-    let abs = if idx < 0 { current as isize + idx } else { idx };
-    assert!(
-        abs >= 0 && (abs as usize) < current,
-        "layer reference {idx} out of range at {current}"
-    );
-    abs as usize
+/// Resolve a Darknet route/shortcut index (negative = relative) against
+/// layer `current`; `None` unless it names an earlier layer.
+fn try_resolve(idx: isize, current: usize) -> Option<usize> {
+    let abs = if idx < 0 { current.checked_sub(idx.unsigned_abs())? } else { idx as usize };
+    (abs < current).then_some(abs)
 }
 
-/// Static shape walk over a spec list: output shape per layer.
-pub fn walk_shapes(specs: &[LayerSpec], input: Shape) -> Vec<Shape> {
+/// [`try_resolve`] for a table [`check_shapes`] has accepted.
+fn resolve(idx: isize, current: usize) -> usize {
+    try_resolve(idx, current)
+        .unwrap_or_else(|| panic!("layer reference {idx} out of range at {current}"))
+}
+
+/// Largest tensor, in `f32` elements, a layer may produce or hold as
+/// weights: the simulated arena is addressed with 32-bit byte offsets.
+pub const MAX_TENSOR_ELEMS: usize = 1 << 30;
+
+/// Why [`check_shapes`] rejected a layer table: the offending layer's
+/// index and what is wrong with it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShapeError {
+    pub layer: usize,
+    pub message: String,
+}
+
+/// `CxHxW`, for error messages.
+fn chw(s: Shape) -> String {
+    format!("{}x{}x{}", s.c, s.h, s.w)
+}
+
+/// Static shape walk over a spec list that checks everything the kernels
+/// rely on: positive sizes, strides, filter and output counts, route and
+/// shortcut references to earlier layers with matching shapes, and
+/// windows, weights and outputs within [`MAX_TENSOR_ELEMS`]. `input` must
+/// have no zero dimension. Returns the output shape per layer.
+///
+/// # Errors
+/// The first layer that breaks one of those rules.
+pub fn check_shapes(specs: &[LayerSpec], input: Shape) -> Result<Vec<Shape>, ShapeError> {
     let mut shapes: Vec<Shape> = Vec::with_capacity(specs.len());
     for (i, spec) in specs.iter().enumerate() {
+        let bad = |message: String| ShapeError { layer: i, message };
+        let positive = |what: &str, v: usize| match v {
+            0 => Err(bad(format!("`{what}` must be at least 1"))),
+            _ => Ok(()),
+        };
+        // Checked before any arithmetic on the dimensions, so none overflows.
+        let fits = |what: &str, dims: &[usize]| {
+            let n = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+            if n.is_some_and(|n| n <= MAX_TENSOR_ELEMS) {
+                Ok(())
+            } else {
+                Err(bad(format!("{what} {dims:?} exceeds {MAX_TENSOR_ELEMS} elements")))
+            }
+        };
+        let earlier = |idx: isize| {
+            try_resolve(idx, i)
+                .map(|j| shapes[j])
+                .ok_or_else(|| bad(format!("layer reference {idx} out of range at layer {i}")))
+        };
         let prev = if i == 0 { input } else { shapes[i - 1] };
         let s = match spec {
             LayerSpec::Conv { filters, size, stride, .. } => {
+                positive("filters", *filters)?;
+                positive("size", *size)?;
+                positive("stride", *stride)?;
+                fits("weights", &[*filters, prev.c, *size, *size])?;
                 let p = ConvParams {
                     in_c: prev.c,
                     in_h: prev.h,
@@ -181,35 +231,58 @@ pub fn walk_shapes(specs: &[LayerSpec], input: Shape) -> Vec<Shape> {
                 Shape::new(*filters, oh, ow)
             }
             LayerSpec::Depthwise { size, stride, .. } => {
+                positive("size", *size)?;
+                positive("stride", *stride)?;
+                fits("weights", &[prev.c, *size, *size])?;
                 let p = depthwise_params(prev.c, prev.h, prev.w, *size, *stride);
                 let (oh, ow) = p.out_hw();
                 Shape::new(prev.c, oh, ow)
             }
             LayerSpec::Maxpool { size, stride } => {
-                let p = PoolParams::darknet(*size, *stride);
-                let (oh, ow) = p.out_hw(prev.h, prev.w);
+                positive("size", *size)?;
+                positive("stride", *stride)?;
+                fits("window", &[*size, *size])?;
+                let (oh, ow) = PoolParams::darknet(*size, *stride).out_hw(prev.h, prev.w);
                 Shape::new(prev.c, oh, ow)
             }
             LayerSpec::Upsample => Shape::new(prev.c, 2 * prev.h, 2 * prev.w),
             LayerSpec::Route { layers } => {
-                let srcs: Vec<Shape> = layers.iter().map(|&x| shapes[resolve(x, i)]).collect();
+                let srcs = layers.iter().map(|&x| earlier(x)).collect::<Result<Vec<_>, _>>()?;
                 let (h, w) = (srcs[0].h, srcs[0].w);
-                assert!(srcs.iter().all(|s| s.h == h && s.w == w), "route spatial mismatch");
+                if srcs.iter().any(|s| s.h != h || s.w != w) {
+                    let sizes: Vec<String> = srcs.iter().map(|&s| chw(s)).collect();
+                    return Err(bad(format!("route joins different sizes: {}", sizes.join(", "))));
+                }
                 Shape::new(srcs.iter().map(|s| s.c).sum(), h, w)
             }
             LayerSpec::Shortcut { from, .. } => {
-                let f = shapes[resolve(*from, i)];
-                assert_eq!(f, prev, "shortcut shape mismatch");
+                let f = earlier(*from)?;
+                if f != prev {
+                    let (f, prev) = (chw(f), chw(prev));
+                    return Err(bad(format!("shortcut shape mismatch: {f} onto {prev}")));
+                }
                 prev
             }
-            LayerSpec::Yolo | LayerSpec::Dropout | LayerSpec::Cost => prev,
+            LayerSpec::Yolo | LayerSpec::Dropout | LayerSpec::Cost | LayerSpec::Softmax => prev,
             LayerSpec::Avgpool => Shape::new(prev.c, 1, 1),
-            LayerSpec::Connected { outputs, .. } => Shape::new(*outputs, 1, 1),
-            LayerSpec::Softmax => prev,
+            LayerSpec::Connected { outputs, .. } => {
+                positive("output", *outputs)?;
+                fits("weights", &[*outputs, prev.c, prev.h, prev.w])?;
+                Shape::new(*outputs, 1, 1)
+            }
         };
+        fits("output", &[s.c, s.h, s.w])?;
         shapes.push(s);
     }
-    shapes
+    Ok(shapes)
+}
+
+/// [`check_shapes`] for a table known to be well formed.
+///
+/// # Panics
+/// If [`check_shapes`] rejects the table.
+pub fn walk_shapes(specs: &[LayerSpec], input: Shape) -> Vec<Shape> {
+    check_shapes(specs, input).unwrap_or_else(|e| panic!("layer {}: {}", e.layer, e.message))
 }
 
 /// All convolutional layers' geometry (used for Table IV, scratch sizing

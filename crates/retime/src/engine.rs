@@ -8,12 +8,12 @@
 //! 2. certificate gate refused → full simulation, refusal recorded.
 //! 3. run memo hit → cloned summary (energy requests skip the memo: it
 //!    holds timings, not attributions).
-//! 4. no recording for the stream → capture (one full simulation under
-//!    the recorder; its summary *is* the answer).
-//! 5. recording + a tape at this geometry → memoized tape refit.
-//! 6. recording, no tape at this geometry → live replay; a run's replay
-//!    records a fresh tape so the next run at this geometry refits, and
-//!    an energy request's replay carries the probe.
+//! 4. no recording for the stream and frame count → capture (one full
+//!    simulation under the recorder; its summary *is* the answer).
+//! 5. energy request → live replay of the recording with the probe on.
+//! 6. recording + a tape at this geometry → tape refit.
+//! 7. recording, no tape at this geometry → live replay, recording a
+//!    fresh tape so the next request at this geometry refits.
 //!
 //! Under mode `Verify` every request additionally runs the full
 //! simulator and asserts the results are bit-identical — cycles, flops,
@@ -219,99 +219,56 @@ impl RetimeEngine {
                 return Answer { summary, energy: None, path: "run-memo" };
             }
         }
-        let answer = match ask {
-            Ask::Stream(_) => self.retime_stream(e, &sk, &ck, frames),
-            _ => self.retime_run(e, &sk, &ck, ask),
-        };
+        let answer = self.retime(e, &sk, frames, ask);
         self.verify(e, &answer.summary);
         self.store.remember(sk, frames, ck, answer.summary.clone());
         answer
     }
 
-    /// The recording tier for single runs: capture on first visit, then a
-    /// memoized tape refit where a tape at this geometry is stored, else a
-    /// live replay recording one. Energy requests always replay live with
-    /// the probe on.
-    fn retime_run(
-        &mut self,
-        e: &Experiment,
-        sk: &StreamKey,
-        ck: &ConfigKey,
-        ask: Ask<'_>,
-    ) -> Answer {
+    /// The recording tier: capture on the first visit of a (stream, frame
+    /// count), then a tape refit where a tape at this geometry is stored,
+    /// else a live replay recording one. Energy requests always replay
+    /// live with the probe on.
+    fn retime(&mut self, e: &Experiment, sk: &StreamKey, frames: usize, ask: Ask<'_>) -> Answer {
+        let stream = matches!(ask, Ask::Stream(_));
         let fp = mem_fingerprint(e);
-        let Some((cap, tape, plan)) = self.store.lookup(sk, &fp, e.refit_geometry()) else {
-            let cap = e.run_traced();
-            let summary = cap.summary.clone();
-            self.store.insert_trace(sk.clone(), cap, fp);
-            self.counters.captures += 1;
+        let Some((cap, tape)) = self.store.lookup(sk, frames, &fp) else {
+            let (summary, (trace, tape)) = e.run_observed(observe::Capture, frames);
+            let cap = Captured { trace, tape, summary: summary.clone() };
+            self.store.insert(sk.clone(), frames, cap, fp);
+            let c = &mut self.counters;
+            *if stream { &mut c.stream_captures } else { &mut c.captures } += 1;
             return match ask {
                 // The capture ran without the probe: replay it with the probe on.
-                Ask::Energy(_) => self.retime_run(e, sk, ck, ask),
-                _ => Answer { summary: summary.into(), energy: None, path: "capture" },
+                Ask::Energy(_) => self.retime(e, sk, frames, ask),
+                _ => Answer { summary, energy: None, path: "capture" },
             };
         };
+        let c = &mut self.counters;
         let (summary, energy, path) = match (ask, tape) {
             (Ask::Energy(model), _) => {
                 let (s, att) = e
                     .retime(&cap, Source::Live, observe::Energy(model))
                     .expect("a one-frame live replay takes the energy probe");
-                self.counters.energy_retimes += 1;
+                c.energy_retimes += 1;
                 (s, Some(att), "energy-replay")
             }
             (_, Some(tape)) => {
-                let memo = self.store.layer_memo_mut(ck.clone());
-                let source = Source::Tape { tape: &tape, plan: &plan, memo };
                 let (s, ()) = e
-                    .retime(&cap, source, ())
+                    .retime(&cap, Source::Tape { tape: &tape }, ())
                     .expect("tape indexed under this geometry fingerprint");
-                self.counters.tape_refits += 1;
+                *if stream { &mut c.stream_refits } else { &mut c.tape_refits } += 1;
                 (s, None, "tape-refit")
             }
             (_, None) => {
                 let (s, tape) =
                     e.retime(&cap, Source::Live, observe::RecordTape).expect("live replay");
-                self.store.add_tape(sk, fp, Arc::new(tape));
-                self.counters.live_replays += 1;
+                *if stream { &mut c.stream_live_replays } else { &mut c.live_replays } += 1;
+                self.store.add_tape(sk, frames, fp, Arc::new(tape));
                 (s, None, "live-replay")
             }
         };
-        Answer { summary: summary.into(), energy, path }
-    }
-
-    /// The recording tier for streams: capture per (stream, frame count),
-    /// then a memoized refit of the capture tape at its own geometry, else
-    /// a live replay.
-    fn retime_stream(
-        &mut self,
-        e: &Experiment,
-        sk: &StreamKey,
-        ck: &ConfigKey,
-        frames: usize,
-    ) -> Answer {
-        let fp = mem_fingerprint(e);
-        let (summary, path) = match self.store.lookup_stream(sk, frames, e.refit_geometry()) {
-            None => {
-                let (s, (trace, tape)) = e.run_observed(observe::Capture, frames);
-                let cap = Captured { trace, tape, summary: s.clone() };
-                self.store.insert_stream(sk.clone(), frames, cap, fp);
-                self.counters.stream_captures += 1;
-                (s, "capture")
-            }
-            Some((cap, tape_fp, plan)) if tape_fp == fp => {
-                let memo = self.store.layer_memo_mut(ck.clone());
-                let source = Source::Tape { tape: &cap.tape, plan: &plan, memo };
-                let (s, ()) = e.retime(&cap, source, ()).expect("fingerprint-matched stream tape");
-                self.counters.stream_refits += 1;
-                (s, "tape-refit")
-            }
-            Some((cap, _, _)) => {
-                let (s, ()) = e.retime(&cap, Source::Live, ()).expect("live replay");
-                self.counters.stream_live_replays += 1;
-                (s, "live-replay")
-            }
-        };
-        Answer { summary, energy: None, path }
+        Answer { summary, energy, path }
     }
 
     /// Mode `Verify`: run the full simulator and require bit-identity.
@@ -362,9 +319,6 @@ impl RetimeEngine {
     /// reports and the wallclock benchmark.
     pub fn report(&self) -> Json {
         let c = &self.counters;
-        let (configs, entries, hits, misses, bytes) = self.store.layer_memo_totals();
-        let looked = hits + misses;
-        let hit_rate = if looked == 0 { 0.0 } else { hits as f64 / looked as f64 };
         let mode = match self.mode {
             RetimeOpt::Off => "off",
             RetimeOpt::On => "on",
@@ -392,16 +346,6 @@ impl RetimeEngine {
                 Json::obj()
                     .field("hits", self.store.run_hits)
                     .field("misses", self.store.run_misses),
-            )
-            .field(
-                "layer_memo",
-                Json::obj()
-                    .field("configs", configs as u64)
-                    .field("entries", entries as u64)
-                    .field("hits", hits)
-                    .field("misses", misses)
-                    .field("hit_rate", hit_rate)
-                    .field("approx_bytes", bytes as u64),
             )
             .field(
                 "store",

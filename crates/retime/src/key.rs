@@ -10,9 +10,9 @@
 //!   `IdealSpec` knobs (that independence is exactly what the
 //!   `lva-depgraph` certificates prove, and what `--retime=verify`
 //!   re-checks end to end).
-//! * [`ConfigKey`] — two runs share *timing* (and hence a layer memo) iff
-//!   they agree on every timing input: the full hardware point plus the
-//!   idealization spec.
+//! * [`ConfigKey`] — two runs share *timing* (and hence a run-memo entry)
+//!   iff they agree on every timing input: the full hardware point plus
+//!   the idealization spec.
 
 use lva_core::{Experiment, HwTarget};
 
@@ -41,10 +41,8 @@ impl StreamKey {
 }
 
 /// Identity of a timing configuration: the complete design point
-/// (including the axes [`StreamKey`] ignores) plus the `IdealSpec`.
-/// Layer memos are scoped per `ConfigKey` and shared across streams —
-/// sound because the layer `MemoKey` already folds the stream content
-/// (op signatures, tape slice, entry state) the effect depends on.
+/// (including the axes [`StreamKey`] ignores) plus the `IdealSpec`. The
+/// run memo keys results by stream × frames × `ConfigKey`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ConfigKey(String);
 

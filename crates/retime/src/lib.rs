@@ -8,25 +8,23 @@
 //!
 //! 1. **Trace once.** Each distinct semantic stream — (platform class,
 //!    vector length, policy, workload, seed) — is executed functionally a
-//!    single time under the semantic recorder ([`lva_core::CapturedRun`]).
+//!    single time under the semantic recorder ([`lva_core::Captured`]).
 //! 2. **Retime many.** Every further design point of the same stream is
 //!    re-timed from the recording: a probe-tape refit when the cache
 //!    geometry matches a stored tape, a live replay (recording a fresh
 //!    tape for next time) when it does not — both bit-identical to the
 //!    full simulator.
-//! 3. **Memoize layers.** Repeated layers inside a run, across runs, and
-//!    across sweep grids hit the per-config [`lva_isa::LayerMemo`]: a
-//!    layer whose reduced op region, tape slice and relative entry state
-//!    were timed before is applied as a stored state delta (translation
-//!    invariance of the timing automaton; see `lva_isa::refit`).
+//! 3. **Remember runs.** A design point asked again is served from the
+//!    run memo as a clone of its first result.
 //!
 //! What that buys is measured, not assumed. A cold sweep of 18 distinct
 //! design points (the `dse_sweep` workload of `perfbench/`) runs an
-//! estimated ≈1.4–1.8× faster than full simulation, with 0 of 288
-//! layer-memo lookups hitting: distinct configs share no layer timings.
-//! The 68× in `BENCH_sim_wallclock.json` is warm replay only — the same
-//! nine headline specs re-timed after a first pass that missed the memo
-//! 185 times, so its three timed passes hit 555 = 3 × 185 times.
+//! estimated ≈1.4–1.8× faster than full simulation. On the nine headline
+//! specs in `BENCH_sim_wallclock.json`, one cold pass of tape refits
+//! takes about a third of a full serial sweep (5.9 s against 17.3 s on
+//! a 2-vCPU host). Its warm figure (about 374,000×) is run-memo replay:
+//! the same nine specs asked again of an engine that already served
+//! them, each answered with a clone.
 //!
 //! Soundness is **certificate-gated**: retiming is only taken when every
 //! kernel in the `lva-check` registry holds a valid

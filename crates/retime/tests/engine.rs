@@ -1,13 +1,13 @@
 //! End-to-end contracts of the retime engine: bit-identity against the
-//! full simulator across design points, memo determinism, and the
-//! certificate-gated fallback.
+//! full simulator across design points, run-memo determinism, eviction
+//! independence, and the certificate-gated fallback.
 
 use lva_check::KernelCase;
 use lva_core::{
     ConvPolicy, EnergyModel, Experiment, GemmVariant, HwTarget, ModelId, RetimeOpt, Workload,
 };
 use lva_kernels::aux::fill_vec;
-use lva_retime::{CertGate, RetimeEngine};
+use lva_retime::{CertGate, RetimeEngine, RetimeStore};
 use lva_sim::IdealKnob;
 
 fn workload() -> Workload {
@@ -84,9 +84,41 @@ fn second_pass_is_all_hits_and_byte_identical() {
         points.len() as u64,
         "second pass is 100% run-memo hits"
     );
-    // The layer memo observed real traffic and reports it.
-    let report = engine.report().to_string_pretty();
-    assert!(report.contains("layer_memo"), "report carries memo counters: {report}");
+    // The report's run-memo section counts the same traffic.
+    let report = engine.report();
+    let memo = report.get("run_memo").expect("report carries the run memo");
+    let count = |k: &str| memo.get(k).and_then(lva_trace::Json::as_u64);
+    assert_eq!(count("hits"), Some(points.len() as u64), "{}", report.to_string_pretty());
+    assert_eq!(count("misses"), Some(points.len() as u64), "{}", report.to_string_pretty());
+}
+
+/// A sweep whose recording budget holds one recording at a time evicts,
+/// re-captures the stream it evicted, and still reports byte-identically
+/// to a sweep under the default budget.
+#[test]
+fn tiny_budget_evicts_and_stays_byte_identical() {
+    let mut points = design_points();
+    // Back to the RVV stream after the SVE and A64FX captures evicted it.
+    points.push(exp(HwTarget::RvvGem5 { vlen_bits: 2048, lanes: 2, l2_bytes: 1 << 20 }));
+    let sweep = |engine: &mut RetimeEngine| -> Vec<String> {
+        points
+            .iter()
+            .map(|e| {
+                let s = engine.run(e);
+                lva_core::RunReport::new("t", e, &s).to_json().to_string_pretty()
+            })
+            .collect()
+    };
+    let gate = || CertGate::decided(Ok(()));
+    let mut roomy = RetimeEngine::with_gate(RetimeOpt::On, gate());
+    let mut tiny =
+        RetimeEngine::with_gate(RetimeOpt::On, gate()).with_store(RetimeStore::with_capacity(1));
+    assert_eq!(sweep(&mut tiny), sweep(&mut roomy), "eviction must not change any result");
+    assert_eq!(roomy.store().evictions, 0);
+    assert!(tiny.store().evictions > 0, "a one-byte budget must evict");
+    assert_eq!(tiny.store().trace_count(), 1, "only the newest recording survives");
+    assert_eq!(roomy.counters().captures, 3);
+    assert_eq!(tiny.counters().captures, 4, "the evicted RVV stream is captured again");
 }
 
 /// A kernel whose semantic stream depends on the design point (here: the
@@ -182,9 +214,8 @@ fn retimed_energy_attribution_is_bit_identical() {
     assert_eq!(engine.counters().energy_retimes, 1);
 }
 
-/// Streams through the engine: multi-frame capture, then a memoized
-/// stream refit at another timing-only point, both bit-identical to
-/// `run_stream`.
+/// Streams through the engine: multi-frame capture, then a stream refit
+/// at another timing-only point, both bit-identical to `run_stream`.
 #[test]
 fn retimed_streams_match_run_stream() {
     let mut engine = RetimeEngine::with_gate(RetimeOpt::On, CertGate::decided(Ok(())));
